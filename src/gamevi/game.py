@@ -38,7 +38,7 @@ from .solvers import make_dr_splitting
 __all__ = [
     "LqGame", "RiccatiSolution", "AugmentedRiccati", "CompiledGameVi",
     "StandingAssumptionsDiagnosis", "CareSolvabilityDiagnosis", "solve_coupled_riccati",
-    "build_augmented", "solve_are", "compile_vi", "q_of",
+    "build_augmented", "solve_are", "compile_vi",
     "unconstrained_ne_sequence", "in_terminal_set", "check_standing_assumptions",
     "check_care_solvability", "best_response", "rollout", "read_game", "write_game",
 ]
@@ -198,42 +198,40 @@ def solve_coupled_riccati(game, tol=1e-10, max_iter=10_000, warm=None):
     from P_i = Q_i, K_i = 0. The per-sweep P increment equals the equation
     residual at the current iterate, so the stopping rule is the residual;
     tol is measured relative to 1 + max|P| to stay meaningful when the
-    cost-to-go matrices are large.
+    cost-to-go matrices are large. max_iter counts sweeps; a non-finite or
+    exploding (> 1e14) increment raises NoConvergence.
+
+    A sweep is a handful of stacked products: with Bs = [B_1 .. B_N] and
+    L = blkdiag(R_i^{-1} B_i') vstack(P_i), the K-system is
+    (I + L Bs) K = -L A, and all P_i update in one broadcast over the
+    (N, n, n) stack.
     """
-    A, B, Q, R = game.A, game.B, game.Q, game.R
+    A, Q = game.A, np.stack(game.Q)
     n, N, m = game.n, game.N, game.m
     if warm is not None:
-        P = [np.array(p, dtype=float) for p in warm[0]]
-        K = [np.array(k, dtype=float) for k in warm[1]]
+        P = np.array(warm[0], dtype=float)
     else:
-        P = [q.copy() for q in Q]
-        K = [np.zeros((mi, n)) for mi in m]
-    m_tot = sum(m)
+        P = Q.copy()
     offs = np.concatenate([[0], np.cumsum(m)])
-    RinvBt = [np.linalg.solve(R[i], B[i].T) for i in range(N)]
+    Bs = np.hstack(game.B)
+    RinvBt = scipy.linalg.block_diag(
+        *[np.linalg.solve(game.R[i], game.B[i].T) for i in range(N)])
+    I_m = np.eye(offs[-1])
 
     def sweep_K(P):
-        G = np.empty((m_tot, m_tot))
-        rhs = np.empty((m_tot, n))
-        for i in range(N):
-            lead = RinvBt[i] @ P[i]
-            for j in range(N):
-                G[offs[i]:offs[i+1], offs[j]:offs[j+1]] = lead @ B[j]
-            rhs[offs[i]:offs[i+1]] = -lead @ A
+        L = RinvBt @ P.reshape(N * n, n)
         try:
-            Kstack = np.linalg.solve(np.eye(m_tot) + G, rhs)
+            return np.linalg.solve(I_m + L @ Bs, -L @ A)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"coupled Riccati K-system is singular: {exc}")
-        return [Kstack[offs[i]:offs[i+1]] for i in range(N)]
 
     res = np.inf
     scale = 1.0
     for it in range(1, max_iter + 1):
-        K = sweep_K(P)
-        A_cl = A + sum(B[i] @ K[i] for i in range(N))
-        P_new = [Q[i] + A.T @ P[i] @ A_cl for i in range(N)]
-        res = max(float(np.max(np.abs(P_new[i] - P[i]))) for i in range(N))
-        scale = 1.0 + max(float(np.max(np.abs(p))) for p in P_new)
+        A_cl = A + Bs @ sweep_K(P)
+        P_new = Q + A.T @ P @ A_cl
+        res = float(np.max(np.abs(P_new - P)))
+        scale = 1.0 + float(np.max(np.abs(P_new)))
         P = P_new
         if not np.isfinite(res) or res > 1e14:
             raise NoConvergence(
@@ -244,18 +242,18 @@ def solve_coupled_riccati(game, tol=1e-10, max_iter=10_000, warm=None):
         raise NoConvergence(
             f"coupled Riccati sweep did not reach tol={tol:.1e} in {max_iter} "
             f"iterations (relative residual {res/scale:.3e})")
-    K = sweep_K(P)
-    A_cl = A + sum(B[i] @ K[i] for i in range(N))
+    Kstack = sweep_K(P)
+    A_cl = A + Bs @ Kstack
     rho = float(np.max(np.abs(np.linalg.eigvals(A_cl))))
-    residuals = []
-    for i in range(N):
-        res_p = float(np.max(np.abs(P[i] - (Q[i] + A.T @ P[i] @ A_cl))))
-        res_k = float(np.max(np.abs(K[i] + RinvBt[i] @ P[i] @ A_cl)))
-        residuals.append(max(res_p, res_k))
+    res_p = np.max(np.abs(P - (Q + A.T @ P @ A_cl)), axis=(1, 2))
+    res_k = np.abs(Kstack + RinvBt @ P.reshape(N * n, n) @ A_cl)
+    residuals = [max(float(res_p[i]), float(np.max(res_k[offs[i]:offs[i+1]])))
+                 for i in range(N)]
     if rho >= 1.0:
         raise NoConvergence(
             f"coupled Riccati produced an unstable closed loop (rho = {rho:.6f})")
-    return RiccatiSolution(P, K, residuals, it, A_cl, rho)
+    K = [Kstack[offs[i]:offs[i+1]] for i in range(N)]
+    return RiccatiSolution(list(P), K, residuals, it, A_cl, rho)
 
 
 def build_augmented(game, riccati):
@@ -280,38 +278,57 @@ def build_augmented(game, riccati):
     return out
 
 
-def solve_are(A_hat, B_hat, Q_hat, R, tol=1e-12, max_iter=200_000):
-    """Single DARE by backward recursion from P = Q_hat.
+def solve_are(A_hat, B_hat, Q_hat, R, tol=1e-12, max_iter=64):
+    """Single DARE  P = Q + A' P (A + B K),  K = -(R + B' P B)^{-1} B' P A,
+    by the structure-preserving doubling algorithm (Chu, Fan & Lin 2005).
 
-    The iterate increment equals the residual of the fixed-point pair
+    From A_0 = A, G_0 = B R^{-1} B', H_0 = Q each doubling sets
+    W = I + G H and
 
-        P = Q + A' P (A + B K),   K = -R^{-1} B' P (A + B K),
+        A <- A W^{-1} A,   G <- G + A W^{-1} G A',   H <- H + A' H W^{-1} A,
 
-    so the loop stops when the increment falls below tol (relative to
-    1 + max|P|). P is symmetrized every step and is PSD along the whole
-    recursion.
+    so H_k equals the value-iteration iterate after 2^k backward steps from
+    P = Q and converges quadratically to the stabilizing solution. G and H
+    are symmetrized every doubling; the loop stops when the H increment
+    falls below tol relative to 1 + max|H|. max_iter counts doublings, not
+    sweeps. NoConvergence is raised when an iterate turns non-finite (an
+    unstable mode the input cannot reach overflows within about ten
+    doublings) or the cap is hit; there is no absolute size limit, since a
+    stabilizing solution may legitimately be very large.
     """
-    A_hat = np.asarray(A_hat, dtype=float)
-    B_hat = np.asarray(B_hat, dtype=float)
-    Q_hat = np.asarray(Q_hat, dtype=float)
+    A = np.asarray(A_hat, dtype=float)
+    B = np.asarray(B_hat, dtype=float)
+    Q = np.asarray(Q_hat, dtype=float)
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    P = Q_hat.copy()
-    for it in range(1, max_iter + 1):
-        K = -np.linalg.solve(R + B_hat.T @ P @ B_hat, B_hat.T @ P @ A_hat)
-        P_new = Q_hat + A_hat.T @ P @ (A_hat + B_hat @ K)
-        P_new = (P_new + P_new.T) / 2.0
-        delta = float(np.max(np.abs(P_new - P)))
-        scale = 1.0 + float(np.max(np.abs(P_new)))
-        P = P_new
-        if not np.isfinite(delta) or delta > 1e14:
-            raise NoConvergence(f"ARE recursion diverged at iteration {it}")
-        if delta <= tol * scale:
-            break
-    else:
-        raise NoConvergence(
-            f"ARE recursion did not reach tol={tol:.1e} in {max_iter} iterations")
-    K = -np.linalg.solve(R + B_hat.T @ P @ B_hat, B_hat.T @ P @ A_hat)
-    return P, K
+    n = A.shape[0]
+    G = B @ np.linalg.solve(R, B.T)
+    G = (G + G.T) / 2.0
+    H, Ak = Q.copy(), A
+    I_n = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            try:
+                WA_WG = np.linalg.solve(I_n + G @ H, np.hstack([Ak, G]))
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence(f"ARE doubling is singular at step {it}: {exc}")
+            WA, WG = WA_WG[:, :n], WA_WG[:, n:]
+            H_new = H + Ak.T @ H @ WA
+            G = G + Ak @ WG @ Ak.T
+            Ak = Ak @ WA
+            H_new = (H_new + H_new.T) / 2.0
+            G = (G + G.T) / 2.0
+            delta = float(np.max(np.abs(H_new - H)))
+            scale = 1.0 + float(np.max(np.abs(H_new)))
+            H = H_new
+            if not np.isfinite(delta):
+                raise NoConvergence(f"ARE doubling diverged at step {it}")
+            if delta <= tol * scale:
+                break
+        else:
+            raise NoConvergence(
+                f"ARE doubling did not reach tol={tol:.1e} in {max_iter} doublings")
+    K = -np.linalg.solve(R + B.T @ H @ B, B.T @ H @ A)
+    return H, K
 
 
 @dataclasses.dataclass
@@ -335,7 +352,7 @@ class CompiledGameVi:
     """
 
     def __init__(self, game, riccati, augmented, theta, gammas, M_ol, qmap,
-                 D, d0, Dmap, splitting, Qbar, Rbar):
+                 D, d0, Dmap, splitting):
         self.game = game
         self.riccati = riccati
         self.augmented = augmented
@@ -347,8 +364,6 @@ class CompiledGameVi:
         self.d0 = d0
         self.Dmap = Dmap
         self.splitting = splitting
-        self.Qbar = Qbar
-        self.Rbar = Rbar
         # constraint rows seen by the equilibrium feedback: used by the
         # terminal-set membership test
         G_mix = game.Ex + sum(game.Eu[i] @ riccati.K_ol[i] for i in range(game.N))
@@ -373,6 +388,7 @@ class CompiledGameVi:
         raise NoConvergence("could not bound the closed-loop power norms")
 
     def q_of(self, x0):
+        """Affine offset col_i(Gamma_i' Qbar_i Theta x0) of the VI."""
         return self.qmap @ np.asarray(x0, dtype=float).ravel()
 
     def offsets_at(self, x0):
@@ -392,11 +408,15 @@ class CompiledGameVi:
 
 
 def compile_vi(game, riccati_tol=1e-10, riccati_max_iter=10_000,
-               are_tol=1e-12, are_max_iter=200_000):
+               are_tol=1e-12, are_max_iter=64):
     """Compile a game into its affine VI together with the DR splitting.
 
-    Raises InvalidSplitting (with the monotonicity estimate attached) when
-    the symmetric part of the compiled matrix is not positive definite, and
+    The coupled AREs are solved by the stacked fixed-point sweep
+    (riccati_max_iter counts sweeps); each agent's augmented ARE, backing
+    the best-response terminal cost, is solved eagerly by doubling
+    (are_max_iter counts doublings, see solve_are). Raises
+    InvalidSplitting (with the monotonicity estimate attached) when the
+    symmetric part of the compiled matrix is not positive definite, and
     NoConvergence if either Riccati stage fails.
     """
     riccati = solve_coupled_riccati(game, tol=riccati_tol,
@@ -444,21 +464,14 @@ def compile_vi(game, riccati_tol=1e-10, riccati_max_iter=10_000,
     for i, (A_hat, B_hat, Q_hat) in enumerate(aug_parts):
         P, K = solve_are(A_hat, B_hat, Q_hat, game.R[i],
                          tol=are_tol, max_iter=are_max_iter)
-        K2 = -np.linalg.solve(game.R[i] + B_hat.T @ P @ B_hat,
-                              B_hat.T @ P @ A_hat)
-        res = float(np.max(np.abs(P - (Q_hat + A_hat.T @ P @ (A_hat + B_hat @ K2)))))
+        res = float(np.max(np.abs(P - (Q_hat + A_hat.T @ P @ (A_hat + B_hat @ K)))))
         P_hat.append(P)
         K_hat.append(K)
         residuals.append(res)
     augmented = AugmentedRiccati(P_hat, K_hat, residuals)
 
     return CompiledGameVi(game, riccati, augmented, theta, gammas, M_ol, qmap,
-                          D, d0, Dmap, splitting, Qbar, Rbar)
-
-
-def q_of(compiled, x0):
-    """Affine offset col_i(Gamma_i' Qbar_i Theta x0) of the compiled VI."""
-    return compiled.q_of(x0)
+                          D, d0, Dmap, splitting)
 
 
 def unconstrained_ne_sequence(compiled, x0, horizon=None):

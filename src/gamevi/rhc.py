@@ -10,6 +10,7 @@ check -- the single-iteration regime visible in the iteration-count logs.
 
 import dataclasses
 import json
+import time
 
 import numpy as np
 
@@ -102,12 +103,14 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True
     if warm is None:
         warm = np.zeros(problem.dim)
     warm = np.asarray(warm, dtype=float).ravel()
+    t0 = time.perf_counter()
     if terminal_shortcut and in_terminal_set(compiled, x):
         r = natural_residual(problem, warm, engine=workspace.resid_engine)
         if r <= cfg.tol:
             report = solvers.SolverReport(
                 solution=warm.copy(), residuals=[r], iterations=1,
-                status=solvers.CONVERGED, wall_time=0.0, algorithm="dr")
+                status=solvers.CONVERGED, wall_time=time.perf_counter() - t0,
+                algorithm="dr")
             return compiled.first_stage(warm), report
     report = solvers.dr_solve(problem, compiled.splitting, cfg, warm=warm,
                               workspace=workspace.dr)

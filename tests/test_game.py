@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gamevi import game as G
 from gamevi.avi import monotonicity_constants, natural_residual
@@ -70,6 +73,30 @@ def test_coupled_riccati_unstabilizable_diverges():
         G.solve_coupled_riccati(g, max_iter=200)
 
 
+def test_coupled_riccati_unequal_input_widths():
+    """Agents with m_i = 1 and m_i = 2 (non-diagonal R) exercise the
+    block-diagonal R_i^{-1} B_i' stacking of the sweep."""
+    rng = np.random.default_rng(7)
+    n = 4
+    A = rng.normal(size=(n, n))
+    A = 0.9 * A / max(abs(np.linalg.eigvals(A)))
+    B = [rng.normal(size=(n, 1)), rng.normal(size=(n, 2))]
+    Q = [np.eye(n), 0.5 * np.eye(n) + 0.1 * np.ones((n, n))]
+    R = [np.array([[2.0]]), np.array([[1.5, 0.4], [0.4, 1.0]])]
+    g = G.LqGame(A, B, Q, R, T=3)
+    r = G.solve_coupled_riccati(g, tol=1e-12)
+    assert [k.shape for k in r.K_ol] == [(1, n), (2, n)]
+    A_cl = A + B[0] @ r.K_ol[0] + B[1] @ r.K_ol[1]
+    assert np.allclose(r.A_cl, A_cl, atol=1e-14)
+    assert r.spectral_radius < 1.0
+    for i in range(2):
+        res_p = r.P_ol[i] - (Q[i] + A.T @ r.P_ol[i] @ A_cl)
+        res_k = r.K_ol[i] + np.linalg.solve(R[i], B[i].T @ r.P_ol[i] @ A_cl)
+        assert np.max(np.abs(res_p)) <= 1e-9
+        assert np.max(np.abs(res_k)) <= 1e-9
+        assert r.residuals[i] <= 1e-9
+
+
 # -------------------------------------------------------- augmented system
 
 def test_build_augmented_single_agent_layout():
@@ -132,6 +159,31 @@ def test_solve_are_residual_by_substitution():
     assert np.max(np.abs(res_k)) <= 1e-8
     assert np.allclose(P, P.T)
     assert np.min(np.linalg.eigvalsh(P)) >= -1e-10
+
+
+def test_solve_are_matches_scipy():
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+        A = rng.normal(size=(n, n)) * 0.7     # typically open-loop unstable
+        B = rng.normal(size=(n, m))
+        Cq = rng.normal(size=(n, n))
+        Q = Cq.T @ Cq + 0.1 * np.eye(n)
+        Cr = rng.normal(size=(m, m))
+        R = Cr.T @ Cr + np.eye(m)
+        P, K = G.solve_are(A, B, Q, R)
+        P_ref = scipy.linalg.solve_discrete_are(A, B, Q, R)
+        assert np.max(np.abs(P - P_ref)) <= 1e-9 * np.max(np.abs(P_ref))
+        K_ref = -np.linalg.solve(R + B.T @ P_ref @ B, B.T @ P_ref @ A)
+        assert np.max(np.abs(K - K_ref)) <= 1e-9 * (1.0 + np.max(np.abs(K_ref)))
+
+
+def test_solve_are_unstabilizable_raises_quickly():
+    # A = 2 with no control authority: the doubling iterates overflow
+    t0 = time.perf_counter()
+    with pytest.raises(NoConvergence, match="diverged"):
+        G.solve_are([[2.0]], [[0.0]], [[1.0]], [[1.0]])
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_terminal_weight_identity():

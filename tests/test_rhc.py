@@ -72,6 +72,15 @@ def test_rhc_step_terminal_shortcut_single_iteration(small_game2):
     assert np.allclose(u0, expected, atol=1e-9)
 
 
+def test_rhc_step_shortcut_reports_wall_time(small_game2):
+    g, c = small_game2
+    x = 0.05 * np.random.default_rng(1).normal(size=g.n)
+    warm = G.unconstrained_ne_sequence(c, x)
+    _, report = rhc.rhc_step(c, x, warm, cfg(tol=1e-3))
+    assert report.iterations == 1
+    assert report.wall_time > 0.0
+
+
 def test_rhc_step_shortcut_matches_full_solve(small_game2):
     g, c = small_game2
     rng = np.random.default_rng(2)
