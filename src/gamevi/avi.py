@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from . import qp
+from .errors import NonFiniteData
 
 __all__ = [
     "Polyhedron", "AviProblem", "MonotonicityConstants", "AviDiagnosis",
@@ -32,7 +33,7 @@ class Polyhedron:
         if self.D.shape[0] != self.d.shape[0]:
             raise ValueError("D and d row counts differ")
         if not np.all(np.isfinite(self.D)) or not np.all(np.isfinite(self.d)):
-            raise ValueError("constraint data must be finite")
+            raise NonFiniteData("constraint data must be finite")
 
     @classmethod
     def unconstrained(cls, n):
@@ -71,6 +72,8 @@ class AviProblem:
             raise ValueError("q length must match M")
         if self.C.dim != n:
             raise ValueError("constraint dimension must match M")
+        if not np.all(np.isfinite(self.M)) or not np.all(np.isfinite(self.q)):
+            raise NonFiniteData("M and q must be finite")
 
     @property
     def dim(self):
@@ -111,7 +114,7 @@ def project(C, v, tol=1e-10, engine=None, warm_dual=None):
         return v.copy()
     if engine is None:
         engine = qp.QpEngine(np.eye(C.dim), C.D)
-    sol = engine.solve(-v, b=-C.d, warm=v, warm_dual=warm_dual, tol=tol)
+    sol = engine.solve(-v, b=-C.d, warm_dual=warm_dual, tol=tol)
     return sol.y
 
 

@@ -111,9 +111,9 @@ def cmd_solve(args):
     if not os.path.exists(args.problem):
         print(f"problem file not found: {args.problem}", file=sys.stderr)
         return 2
-    problem = avi.read_avi(args.problem)
     cfg = _solver_config(args)
     try:
+        problem = avi.read_avi(args.problem)
         report = solvers.solve(problem, args.algo, cfg)
     except GameViError as exc:
         _write_json(_error_payload(exc), args.out)
@@ -173,7 +173,13 @@ def cmd_validate(args):
         if not os.path.exists(args.problem):
             print(f"problem file not found: {args.problem}", file=sys.stderr)
             return 2
-        problem = avi.read_avi(args.problem)
+        try:
+            problem = avi.read_avi(args.problem)
+        except GameViError as exc:
+            payload = _error_payload(exc)
+            payload["ok"] = False
+            _write_json(payload, args.out)
+            return 1
         diag = avi.validate(problem)
         payload = dataclasses.asdict(diag)
         payload["ok"] = diag.ok

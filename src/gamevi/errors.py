@@ -35,6 +35,10 @@ class InvalidSplitting(GameViError, ValueError):
         self.mu = mu
 
 
+class NonFiniteData(GameViError, ValueError):
+    """Problem data contain NaN or infinite entries."""
+
+
 class InvalidConfig(GameViError, ValueError):
     """A solver configuration violates its documented contract."""
 

@@ -605,7 +605,7 @@ def check_care_solvability(game):
     return CareSolvabilityDiagnosis(n, int(sdim), complementary, eigenvalues)
 
 
-def best_response(compiled, x0, agent, others, tol=1e-8, qp_max_iter=50_000):
+def best_response(compiled, x0, agent, others, tol=1e-8):
     """Agent ``agent``'s exact best response to the profile ``others``.
 
     Minimizes the finite-horizon objective -- stage costs plus the terminal
@@ -645,7 +645,7 @@ def best_response(compiled, x0, agent, others, tol=1e-8, qp_max_iter=50_000):
     b = -(compiled.offsets_at(x0) + compiled.D @ others
           - compiled.D[:, sl] @ others[sl])
     engine = qp.QpEngine(P_qp, compiled.D[:, sl])
-    sol = engine.solve(c_qp, b=b, warm=others[sl], tol=tol, max_iter=qp_max_iter)
+    sol = engine.solve(c_qp, b=b, tol=tol)
     return sol.y
 
 

@@ -1,16 +1,18 @@
 """Convex QP subsolver over polyhedra.
 
 Minimizes ``0.5 y' P y + c' y`` over ``{y : D y + d <= 0}`` with P symmetric
-positive definite. The engine combines an over-relaxed operator-splitting
-(ADMM) iteration, warm-startable in both primal and dual, with an
-active-set polish step (a Schur-complement solve through the cached
-Cholesky factor of P) that pushes candidate active sets to the requested
-KKT tolerance. Warm duals from a previous nearby solve usually make the
-first polish exact, which is the performance lever for receding-horizon
-re-solves. The contract is only the KKT tolerance; the internal method is
-an implementation detail.
+positive definite. The engine first tries direct active-set guesses (a
+Schur-complement solve through the cached Cholesky factor of P): the
+caller's warm duals, then the rows violated by the unconstrained minimizer.
+Warm duals from a previous nearby solve usually make the first guess exact,
+which is the performance lever for receding-horizon re-solves. When both
+guesses miss, the change of variables z = U (y - y_free), with P = U'U,
+turns the QP into a least-distance problem that one nonnegative
+least-squares call solves exactly (Lawson & Hanson, *Solving Least Squares
+Problems*, 1974, ch. 23). No path iterates; the contract is the KKT
+tolerance, and ``iter_limit`` means the exact solve missed it.
 
-Infeasibility is never inferred from divergence: it is certified by the
+Infeasibility is never inferred from round-off: it is certified by the
 slack-maximization phase (maximize s subject to D u + d + s <= 0, s <= 1).
 """
 
@@ -18,7 +20,7 @@ import dataclasses
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from .errors import Infeasible, GameViError
 
@@ -33,7 +35,10 @@ ITER_LIMIT = "iter_limit"
 INFEASIBLE = "infeasible"
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 50_000
+
+# least-distance residual -r[n] at or below this: the relaxed rows look
+# inconsistent, so the slack LP decides
+_LDP_EMPTY = 1e-12
 
 
 @dataclasses.dataclass
@@ -116,41 +121,26 @@ def _kkt_error(P, c, D, b, y, lam):
     return float(np.max(np.abs(P @ y + c)))
 
 
-# polish attempts during ADMM happen at k = 2^j - 1 early on, then periodically
-_POLISH_EARLY = frozenset([1, 3, 7, 15, 31, 63, 127])
-
-
 class QpEngine:
     """Reusable solver for a family of QPs sharing (P, D).
 
-    The linear term c and the offsets may change between calls; the KKT
-    factorization, the Cholesky factor of P and the projected Gram matrix
-    D P^{-1} D' are computed once. Warm starts (primal and dual) are passed
+    The linear term c and the offsets may change between calls; the
+    Cholesky factor P = U'U, the projected Gram matrix D P^{-1} D' and the
+    least-distance matrix D U^{-1} are computed once. Warm duals are passed
     per call, so one engine can serve several independent iterate streams.
     """
 
-    def __init__(self, P, D, sigma=1e-6, rho=0.1, alpha=1.6):
+    def __init__(self, P, D):
         self.P = np.asarray(P, dtype=float)
         self.D = np.asarray(D, dtype=float)
         self.n = self.P.shape[0]
         self.m = self.D.shape[0]
-        self.sigma = sigma
-        self.alpha = alpha
         self._chol = scipy.linalg.cho_factor(self.P)
         if self.m:
             self._PinvDt = scipy.linalg.cho_solve(self._chol, self.D.T)
             self._gram = self.D @ self._PinvDt
-        self._rho = rho
-        self._lu = None  # ADMM KKT factored lazily; polish alone often suffices
-
-    def _factor(self, rho):
-        kkt = np.zeros((self.n + self.m, self.n + self.m))
-        kkt[:self.n, :self.n] = self.P + self.sigma * np.eye(self.n)
-        kkt[:self.n, self.n:] = self.D.T
-        kkt[self.n:, :self.n] = self.D
-        kkt[self.n:, self.n:] = -np.eye(self.m) / rho
-        self._lu = scipy.linalg.lu_factor(kkt)
-        self._rho = rho
+            self._Et = scipy.linalg.solve_triangular(self._chol[0], self.D.T,
+                                                     trans="T")
 
     def _try_active_set(self, c, b, y_free, active, tol):
         """Solve assuming the given rows are active; None unless KKT <= tol.
@@ -184,12 +174,59 @@ class QpEngine:
             return QpSolution(y, lam, err, OPTIMAL, 0)
         return None
 
-    def solve(self, c, b=None, warm=None, warm_dual=None,
-              tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    def _least_distance(self, c, b, y_free, violation, tol):
+        """Exact fallback: the QP as a least-distance problem, one NNLS call.
+
+        With z = U (y - y_free) and E = D U^{-1} the QP is min 0.5 ||z||^2
+        subject to -E z >= h, h = violation - tol. Relaxing the rows by tol
+        keeps rows violated only by round-off (all-zero rows of a best
+        response, say) from emptying the set. The problem is positively
+        homogeneous in h, so it is solved at unit scale h / s, s = max(h);
+        s = tol when no row is violated by more than tol, which gives u = 0
+        and y = y_free. Lawson & Hanson: for the nonnegative least-squares
+        solution u of [-E'; h'/s] u ~ e_{n+1} with residual r,
+        z = s r[:n] / -r[n] and the multipliers are s u / -r[n]; r = 0
+        means the rows are inconsistent. A result off by more than tol is
+        polished on the support of u.
+        """
+        h = violation - tol
+        s = max(float(np.max(h)), tol)
+        A = np.vstack([-self._Et, h / s])
+        e = np.zeros(self.n + 1)
+        e[-1] = 1.0
+        try:
+            u = nnls(A, e)[0]
+        except RuntimeError:  # scipy's iteration cap; the KKT test reports it
+            u = np.zeros(self.m)
+        r = A @ u - e
+        den = float(-r[-1])
+        if den <= _LDP_EMPTY:
+            report = certify_feasibility(self.D, -b)
+            if not report.feasible:
+                raise Infeasible(
+                    "constraint set certified empty "
+                    f"(max slack {report.slack:.3e})", slack=report.slack)
+        # a certified-feasible set with den this small is a numerical
+        # breakdown; the KKT test below reports it
+        scale = s / max(den, _LDP_EMPTY)
+        y = y_free + scipy.linalg.solve_triangular(self._chol[0], r[:-1]) * scale
+        lam = u * scale
+        err = _kkt_error(self.P, c, self.D, b, y, lam)
+        if err <= tol:
+            return QpSolution(y, lam, err, OPTIMAL, 1)
+        sol = self._try_active_set(c, b, y_free, np.flatnonzero(u > 0.0), tol)
+        if sol is not None:
+            return dataclasses.replace(sol, iterations=1)
+        return QpSolution(y, lam, err, ITER_LIMIT, 1)
+
+    def solve(self, c, b=None, warm_dual=None, tol=DEFAULT_TOL):
         """Solve for the given linear term and constraint offsets b (= -d).
 
-        Returns a QpSolution; raises Infeasible when the slack-maximization
-        phase certifies an empty polyhedron.
+        Returns a QpSolution whose status is ``optimal`` (KKT residual <= tol)
+        or ``iter_limit`` (the exact solve missed tol); ``iterations`` is 1
+        when the least-distance fallback ran and 0 otherwise. Raises
+        Infeasible when the slack-maximization phase certifies an empty
+        polyhedron.
         """
         c = np.asarray(c, dtype=float).ravel()
         if self.m == 0:
@@ -207,8 +244,8 @@ class QpEngine:
             err = _kkt_error(self.P, c, self.D, b, y_free, np.zeros(self.m))
             return QpSolution(y_free, np.zeros(self.m), err, OPTIMAL, 0)
 
-        # Direct active-set guesses before iterating: the caller's previous
-        # duals, then the rows violated by the free minimizer.
+        # Direct active-set guesses before the fallback: the caller's
+        # previous duals, then the rows violated by the free minimizer.
         if warm_dual is not None:
             warm_dual = np.maximum(np.asarray(warm_dual, dtype=float).ravel(), 0.0)
             guess = np.flatnonzero(warm_dual > 1e-12)
@@ -218,72 +255,16 @@ class QpEngine:
         sol = self._try_active_set(c, b, y_free, np.flatnonzero(violation > 0.0), tol)
         if sol is not None:
             return sol
-
-        # Operator-splitting iterations with periodic polish.
-        if self._lu is None:
-            self._factor(self._rho)
-        rho = self._rho
-        x = np.array(warm, dtype=float).ravel() if warm is not None else y_free.copy()
-        lam = warm_dual if warm_dual is not None else np.zeros(self.m)
-        z = np.minimum(self.D @ x, b)
-        best = None
-        feas_checked = False
-        for k in range(1, max_iter + 1):
-            rhs = np.concatenate([self.sigma * x - c, z - lam / rho])
-            sol_kkt = scipy.linalg.lu_solve(self._lu, rhs)
-            x_t = sol_kkt[:self.n]
-            nu = sol_kkt[self.n:]
-            z_t = z + (nu - lam) / rho
-            x = self.alpha * x_t + (1.0 - self.alpha) * x
-            w = self.alpha * z_t + (1.0 - self.alpha) * z + lam / rho
-            z = np.minimum(w, b)
-            lam = rho * (w - z)
-
-            err = _kkt_error(self.P, c, self.D, b, x, lam)
-            if best is None or err < best[2]:
-                best = (x.copy(), lam.copy(), err)
-            if err <= tol:
-                return QpSolution(x, lam, err, OPTIMAL, k)
-
-            if k in _POLISH_EARLY or k % 128 == 0:
-                active = np.flatnonzero((b - z < lam) | (b - self.D @ x < 1e-9))
-                sol = self._try_active_set(c, b, y_free, active, tol)
-                if sol is not None:
-                    return QpSolution(sol.y, sol.lam, sol.kkt_residual, OPTIMAL, k)
-
-            # Certified infeasibility test when primal violation persists.
-            if not feas_checked and k % 256 == 0:
-                r_prim = float(np.max(np.abs(self.D @ x - z)))
-                if r_prim > 1e-6:
-                    feas_checked = True
-                    report = certify_feasibility(self.D, -b)
-                    if not report.feasible:
-                        raise Infeasible(
-                            "constraint set certified empty "
-                            f"(max slack {report.slack:.3e})", slack=report.slack)
-
-            # Residual balancing: occasionally retune rho and refactor.
-            if k % 200 == 0:
-                r_prim = float(np.max(np.abs(self.D @ x - z)))
-                r_dual = float(np.max(np.abs(self.P @ x + c + self.D.T @ lam)))
-                if r_prim > 0 and r_dual > 0:
-                    ratio = np.sqrt(r_prim / r_dual)
-                    if ratio > 5.0 or ratio < 0.2:
-                        rho = float(np.clip(rho * ratio, 1e-6, 1e6))
-                        self._factor(rho)
-
-        x, lam, err = best
-        return QpSolution(x, lam, err, ITER_LIMIT, max_iter)
+        return self._least_distance(c, b, y_free, violation, tol)
 
 
-def solve_qp(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, warm=None,
-             warm_dual=None):
+def solve_qp(problem, tol=DEFAULT_TOL, warm_dual=None):
     """One-shot QP solve; see QpEngine for the reusable interface.
 
     Returns a QpSolution whose status is ``optimal`` (KKT residual <= tol)
-    or ``iter_limit`` (best iterate so far). Raises Infeasible when the
-    constraint set is certified empty.
+    or ``iter_limit`` (the exact solve missed tol). Raises Infeasible when
+    the constraint set is certified empty.
     """
     engine = QpEngine(problem.P, problem.C.D)
     return engine.solve(problem.c, b=-np.asarray(problem.C.d, dtype=float).ravel(),
-                        warm=warm, warm_dual=warm_dual, tol=tol, max_iter=max_iter)
+                        warm_dual=warm_dual, tol=tol)

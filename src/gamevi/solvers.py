@@ -97,7 +97,10 @@ class SolverConfig:
     relaxation is the DR relaxation l_k: a constant in (0, 1] or a sequence
     (held at its last value once exhausted). step is the algorithm-specific
     stepsize (lambda for PGD/EXGD/PRGD, lambda_0 for aGRAAL); None selects
-    the documented default derived from (mu, L).
+    the documented default derived from (mu, L). qp_tol is the KKT tolerance
+    of every inner QP solve (the DR step (a), residual projections and the
+    baselines' projections); the QP engine never iterates, so there is no
+    inner iteration cap.
     """
     tol: float = 1e-3
     max_iter: int = 10_000
@@ -106,7 +109,6 @@ class SolverConfig:
     beta: float = None
     nagd_lambda0: float = 1.0
     qp_tol: float = 1e-8
-    qp_max_iter: int = 50_000
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -149,16 +151,14 @@ class _Run:
         self.algorithm = algorithm
         self.t0 = time.perf_counter()
         self.residuals = []
-        self._resid_engine = resid_engine or qp.QpEngine(np.eye(p.dim), p.C.D)
+        self.engine = resid_engine or qp.QpEngine(np.eye(p.dim), p.C.D)
         self._resid_dual = None
-        self._b = -p.C.d
+        self.b = -p.C.d
 
     def residual(self, u):
         v = u - self.p.F(u)
-        sol = self._resid_engine.solve(-v, b=self._b, warm=v,
-                                       warm_dual=self._resid_dual,
-                                       tol=self.cfg.qp_tol,
-                                       max_iter=self.cfg.qp_max_iter)
+        sol = self.engine.solve(-v, b=self.b, warm_dual=self._resid_dual,
+                                tol=self.cfg.qp_tol)
         self._resid_dual = sol.lam
         return float(np.linalg.norm(u - sol.y))
 
@@ -180,18 +180,21 @@ class _Run:
 
 
 class _Projector:
-    """Projection onto the problem's polyhedron with per-slot warm duals."""
+    """Projection onto the problem's polyhedron with per-slot warm duals.
 
-    def __init__(self, p, cfg):
-        self.engine = qp.QpEngine(np.eye(p.dim), p.C.D)
-        self.b = -p.C.d
-        self.cfg = cfg
+    Shares the run's identity-metric engine; the warm duals stay separate
+    from the residual's.
+    """
+
+    def __init__(self, run):
+        self.engine = run.engine
+        self.b = run.b
+        self.cfg = run.cfg
         self.duals = {}
 
     def __call__(self, v, slot="x"):
-        sol = self.engine.solve(-v, b=self.b, warm=v,
-                                warm_dual=self.duals.get(slot),
-                                tol=self.cfg.qp_tol, max_iter=self.cfg.qp_max_iter)
+        sol = self.engine.solve(-v, b=self.b, warm_dual=self.duals.get(slot),
+                                tol=self.cfg.qp_tol)
         self.duals[slot] = sol.lam
         return sol.y
 
@@ -261,14 +264,11 @@ def dr_solve(p, s=None, cfg=None, warm=None, workspace=None):
     b = -p.C.d
     H, M2 = s.H, s.M2
     y_dual = None
-    y_prev = None
     converged = False
     for k in range(cfg.max_iter):
         c = p.q + workspace.M2mH @ u
-        sol = workspace.step_engine.solve(c, b=b, warm=y_prev, warm_dual=y_dual,
-                                          tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
-        y = sol.y
-        y_prev, y_dual = y, sol.lam
+        sol = workspace.step_engine.solve(c, b=b, warm_dual=y_dual, tol=cfg.qp_tol)
+        y, y_dual = sol.y, sol.lam
         lam_k = cfg.relaxation_at(k)
         u = scipy.linalg.lu_solve(
             workspace.lu_HM2, H @ (2.0 * lam_k * y + (1.0 - 2.0 * lam_k) * u) + M2 @ u)
@@ -290,7 +290,7 @@ def pgd_solve(p, cfg=None, warm=None):
     if not (0.0 < lam < 2.0 * mu / L ** 2):
         raise InvalidConfig(f"PGD step must lie in (0, 2 mu/L^2) = (0, {2*mu/L**2:.3e})")
     run = _Run(p, cfg, "pgd")
-    proj = _Projector(p, cfg)
+    proj = _Projector(run)
     u = _start(p, warm)
     converged = False
     for _ in range(cfg.max_iter):
@@ -309,7 +309,7 @@ def exgd_solve(p, cfg=None, warm=None):
     if not (0.0 < lam < 1.0 / L):
         raise InvalidConfig(f"EXGD step must lie in (0, 1/L) = (0, {1/L:.3e})")
     run = _Run(p, cfg, "exgd")
-    proj = _Projector(p, cfg)
+    proj = _Projector(run)
     u = _start(p, warm)
     converged = False
     for _ in range(cfg.max_iter):
@@ -338,7 +338,7 @@ def nagd_solve(p, cfg=None, warm=None):
     mu = mono.mu
     beta = cfg.beta if cfg.beta is not None else mono.L
     run = _Run(p, cfg, "nagd")
-    proj = _Projector(p, cfg)
+    proj = _Projector(run)
     y = _start(p, warm)
     lam_k = cfg.nagd_lambda0
     S = np.zeros(p.dim)
@@ -371,7 +371,7 @@ def prgd_solve(p, cfg=None, warm=None):
     if not (0.0 < lam < bound):
         raise InvalidConfig(f"PRGD step must lie in (0, (sqrt(2)-1)/L) = (0, {bound:.3e})")
     run = _Run(p, cfg, "prgd")
-    proj = _Projector(p, cfg)
+    proj = _Projector(run)
     u = _start(p, warm)
     u_prev = u.copy()
     converged = False
@@ -400,7 +400,7 @@ def agraal_solve(p, cfg=None, warm=None):
     if lam0 <= 0 or not (0.0 < beta <= (np.sqrt(5.0) - 1.0) / 2.0):
         raise InvalidConfig("aGRAAL needs lambda_0 > 0 and beta in (0, (sqrt(5)-1)/2]")
     run = _Run(p, cfg, "agraal")
-    proj = _Projector(p, cfg)
+    proj = _Projector(run)
     u = _start(p, warm)
     ybar = u.copy()
     Fu = p.F(u)

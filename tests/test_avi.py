@@ -4,7 +4,7 @@ import pytest
 from gamevi.avi import (AviProblem, Polyhedron, monotonicity_constants,
                         natural_residual, project, read_avi, validate,
                         write_avi)
-from gamevi.errors import Infeasible
+from gamevi.errors import GameViError, Infeasible, NonFiniteData
 
 from oracles import kkt_enumerate, project_enumerate
 
@@ -34,6 +34,18 @@ def test_project_unconstrained_is_identity():
     C = Polyhedron.unconstrained(3)
     v = np.array([1.0, -2.0, 3.0])
     assert np.array_equal(project(C, v), v)
+
+
+def test_problem_rejects_non_finite_data():
+    C = Polyhedron.unconstrained(2)
+    for M, q in [([[1.0, np.nan], [0.0, 1.0]], [0.0, 0.0]),
+                 (np.eye(2), [np.inf, 0.0])]:
+        with pytest.raises(NonFiniteData) as err:
+            AviProblem(M, q, C)
+        assert isinstance(err.value, GameViError)
+        assert isinstance(err.value, ValueError)
+    with pytest.raises(NonFiniteData):
+        Polyhedron([[np.nan]], [0.0])
 
 
 def test_project_infeasible_raises():

@@ -119,6 +119,22 @@ def test_solve_infeasible_error_json(tmp_path):
     assert payload["error"]["type"] == "Infeasible"
 
 
+def non_finite_problem(tmp_path):
+    payload = json.loads(open(SAMPLE).read())
+    payload["q"][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_solve_non_finite_problem_error_json(tmp_path):
+    out = tmp_path / "err.json"
+    rc = cli.main(["solve", "--problem", non_finite_problem(tmp_path),
+                   "--out", str(out)])
+    assert rc == 1
+    assert json.loads(out.read_text())["error"]["type"] == "NonFiniteData"
+
+
 # ------------------------------------------------------------------ crossroad
 
 def test_crossroad_run_outputs(tmp_path):
@@ -219,6 +235,14 @@ def test_validate_game_compile_failure(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert not payload["ok"]
     assert payload["error"]["type"] == "NoConvergence"
+
+
+def test_validate_non_finite_problem_error_json(tmp_path, capsys):
+    rc = cli.main(["validate", "--problem", non_finite_problem(tmp_path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert not payload["ok"]
+    assert payload["error"]["type"] == "NonFiniteData"
 
 
 def test_validate_missing_file():
