@@ -1,9 +1,9 @@
 """Affine variational inequality problem model and shared diagnostics.
 
 An AVI is: find u* in C with <M u* + q, u - u*> >= 0 for all u in C, where
-C = {u : D u + d <= 0}. The natural residual ||u - proj_C(u - step*(Mu+q))||
-is the stopping metric shared by every solver in the package; all residual
-traces use step = 1 so iteration counts are comparable across algorithms.
+C = {u : D u + d <= 0}. The natural residual ||u - proj_C(u - (Mu+q))||
+(step 1) is the stopping metric shared by every solver in the package, so
+iteration counts are comparable across algorithms.
 """
 
 import dataclasses
@@ -104,26 +104,23 @@ def monotonicity_constants(M):
     return MonotonicityConstants(max(lam_min, 0.0), L, lam_min)
 
 
-def project(C, v, tol=1e-10, engine=None, warm_dual=None):
-    """Metric projection of v onto C, computed as the QP min 0.5||u - v||^2.
-
-    Raises Infeasible when C is certified empty.
+def project(C, v, engine=None):
+    """Metric projection of v onto C, computed as the QP min 0.5||u - v||^2
+    to KKT tolerance 1e-10; engine, if given, is an identity-metric
+    QpEngine for C.D. Raises Infeasible when C is certified empty.
     """
     v = np.asarray(v, dtype=float).ravel()
     if C.n_rows == 0:
         return v.copy()
     if engine is None:
         engine = qp.QpEngine(np.eye(C.dim), C.D)
-    sol = engine.solve(-v, b=-C.d, warm_dual=warm_dual, tol=tol)
-    return sol.y
+    return engine.solve(-v, b=-C.d, tol=1e-10).y
 
 
-def natural_residual(p, u, step=1.0, engine=None):
-    """||u - proj_C(u - step*(Mu + q))||, zero exactly at VI solutions."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+def natural_residual(p, u, engine=None):
+    """||u - proj_C(u - (Mu + q))||, zero exactly at VI solutions."""
     u = np.asarray(u, dtype=float).ravel()
-    v = u - step * p.F(u)
+    v = u - p.F(u)
     return float(np.linalg.norm(u - project(p.C, v, engine=engine)))
 
 

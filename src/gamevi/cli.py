@@ -188,9 +188,10 @@ def cmd_validate(args):
     if not os.path.exists(args.game):
         print(f"game file not found: {args.game}", file=sys.stderr)
         return 2
-    g = game.read_game(args.game)
-    payload = {"n": g.n, "agents": g.N, "horizon": g.T}
+    payload = {}
     try:
+        g = game.read_game(args.game)
+        payload.update(n=g.n, agents=g.N, horizon=g.T)
         compiled = game.compile_vi(g)
     except GameViError as exc:
         payload.update(_error_payload(exc))

@@ -32,7 +32,7 @@ import scipy.linalg
 from . import qp
 from .avi import AviProblem, Polyhedron
 from .blockmat import blkdg, build_gamma, build_theta, kron
-from .errors import NoConvergence, SingularA
+from .errors import NoConvergence, NonFiniteData, SingularA
 from .solvers import make_dr_splitting
 
 __all__ = [
@@ -101,6 +101,10 @@ class LqGame:
             self.dx = np.asarray(dx, dtype=float).ravel()
             if self.Dx.shape[1] != self.n or self.Dx.shape[0] != self.dx.shape[0]:
                 raise ValueError("Dx / dx shapes are inconsistent")
+        if not all(np.all(np.isfinite(a)) for a in [
+                self.A, *self.B, *self.Q, *self.R, self.Ex, *self.Eu, self.e,
+                self.Dx, self.dx]):
+            raise NonFiniteData("game data must be finite")
         self.meta = dict(meta) if meta else {}
         self.source = None  # original parts for JSON round-trips
         self.prestab_gains = None
@@ -187,7 +191,7 @@ class RiccatiSolution:
     spectral_radius: float
 
 
-def solve_coupled_riccati(game, tol=1e-10, max_iter=10_000, warm=None):
+def solve_coupled_riccati(game, tol=1e-10, max_iter=10_000):
     """Fixed-point sweep for the coupled AREs
 
         P_i = Q_i + A' P_i (A + sum_j B_j K_j)
@@ -208,10 +212,7 @@ def solve_coupled_riccati(game, tol=1e-10, max_iter=10_000, warm=None):
     """
     A, Q = game.A, np.stack(game.Q)
     n, N, m = game.n, game.N, game.m
-    if warm is not None:
-        P = np.array(warm[0], dtype=float)
-    else:
-        P = Q.copy()
+    P = Q.copy()
     offs = np.concatenate([[0], np.cumsum(m)])
     Bs = np.hstack(game.B)
     RinvBt = scipy.linalg.block_diag(
@@ -346,7 +347,7 @@ class CompiledGameVi:
       M_ol       the VI matrix (nonsymmetric in general)
       qmap       q of x0 is qmap @ x0
       D, d0, Dmap   constraints: D u + (d0 + Dmap x0) <= 0
-      splitting  DR splitting of M_ol with H = I
+      splitting  DR splitting of M_ol
       riccati, augmented   the Riccati products backing M_ol and the
                  best-response terminal cost
     """
@@ -407,20 +408,17 @@ class CompiledGameVi:
             u[game.agent_slice(i)][:game.m[i]] for i in range(game.N)])
 
 
-def compile_vi(game, riccati_tol=1e-10, riccati_max_iter=10_000,
-               are_tol=1e-12, are_max_iter=64):
+def compile_vi(game):
     """Compile a game into its affine VI together with the DR splitting.
 
-    The coupled AREs are solved by the stacked fixed-point sweep
-    (riccati_max_iter counts sweeps); each agent's augmented ARE, backing
-    the best-response terminal cost, is solved eagerly by doubling
-    (are_max_iter counts doublings, see solve_are). Raises
-    InvalidSplitting (with the monotonicity estimate attached) when the
-    symmetric part of the compiled matrix is not positive definite, and
-    NoConvergence if either Riccati stage fails.
+    The coupled AREs are solved by the stacked fixed-point sweep; each
+    agent's augmented ARE, backing the best-response terminal cost, is
+    solved eagerly by doubling (see solve_are); both run at their default
+    tolerances and caps. Raises InvalidSplitting (with the monotonicity
+    estimate attached) when the symmetric part of the compiled matrix is
+    not positive definite, and NoConvergence if either Riccati stage fails.
     """
-    riccati = solve_coupled_riccati(game, tol=riccati_tol,
-                                    max_iter=riccati_max_iter)
+    riccati = solve_coupled_riccati(game)
     n, N, T = game.n, game.N, game.T
     theta = build_theta(game.A, T)
     gammas = [build_gamma(game.A, game.B[i], T) for i in range(N)]
@@ -462,8 +460,7 @@ def compile_vi(game, riccati_tol=1e-10, riccati_max_iter=10_000,
     aug_parts = build_augmented(game, riccati)
     P_hat, K_hat, residuals = [], [], []
     for i, (A_hat, B_hat, Q_hat) in enumerate(aug_parts):
-        P, K = solve_are(A_hat, B_hat, Q_hat, game.R[i],
-                         tol=are_tol, max_iter=are_max_iter)
+        P, K = solve_are(A_hat, B_hat, Q_hat, game.R[i])
         res = float(np.max(np.abs(P - (Q_hat + A_hat.T @ P @ (A_hat + B_hat @ K)))))
         P_hat.append(P)
         K_hat.append(K)
@@ -492,18 +489,19 @@ def unconstrained_ne_sequence(compiled, x0, horizon=None):
         (states @ compiled.riccati.K_ol[i].T).ravel() for i in range(game.N)])
 
 
-def in_terminal_set(compiled, x, horizon_check=50, margin=1e-9):
+def in_terminal_set(compiled, x, horizon_check=50):
     """Sound membership test for the terminal set.
 
     Simulates the equilibrium feedback loop for horizon_check steps and
     requires every visited state to satisfy all constraint rows (state rows
     plus the input rows mapped through the feedback gains) with at least
-    the given strict margin; the tail beyond the simulated horizon is
+    a strict margin of 1e-9; the tail beyond the simulated horizon is
     covered by a norm-ball argument using sup_k ||A_cl^k||. Conservative:
     may reject boundary states, never falsely accepts.
     """
     G = compiled._fb_rows
     g = compiled._fb_offsets
+    margin = 1e-9
     y = np.asarray(x, dtype=float).ravel()
     for _ in range(horizon_check):
         if G.shape[0] and np.max(G @ y + g) > -margin:

@@ -19,9 +19,8 @@ from .avi import Polyhedron, natural_residual, project
 from .errors import Infeasible
 from .game import in_terminal_set, rollout, unconstrained_ne_sequence
 
-__all__ = ["ClosedLoopTrace", "RhcWorkspace", "shift_warm_start", "rhc_step",
-           "simulate", "write_trace_json", "read_trace_json",
-           "write_iterations_csv"]
+__all__ = ["ClosedLoopTrace", "shift_warm_start", "rhc_step", "simulate",
+           "write_trace_json", "read_trace_json", "write_iterations_csv"]
 
 
 @dataclasses.dataclass
@@ -45,14 +44,10 @@ class ClosedLoopTrace:
         return min(float(np.min(m)) for m in self.constraint_margins if m.size)
 
 
-class RhcWorkspace:
-    """Factorizations shared by every step of one closed-loop run."""
-
-    def __init__(self, compiled, cfg):
-        C_template = Polyhedron(compiled.D, compiled.d0)
-        self.dr = solvers.DrWorkspace(compiled.M_ol, compiled.splitting, C_template)
-        self.resid_engine = self.dr.resid_engine
-        self.cfg = cfg
+def _workspace(compiled):
+    """DR factorizations shared by every step of one closed-loop run."""
+    return solvers.DrWorkspace(compiled.M_ol, compiled.splitting,
+                               Polyhedron(compiled.D, compiled.d0))
 
 
 def shift_warm_start(prev, compiled, prev_x):
@@ -93,13 +88,14 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True
     start already meets the residual tolerance returns after exactly one
     residual evaluation; the reported solution and iteration count coincide
     with what a full solve would produce. Raises Infeasible (annotated with
-    the state) when U_T(x) is empty.
+    the state) when U_T(x) is empty. workspace is the solvers.DrWorkspace
+    of compiled, built here when omitted.
     """
     cfg = cfg or solvers.SolverConfig()
     x = np.asarray(x, dtype=float).ravel()
     problem = compiled.avi_at(x)
     if workspace is None:
-        workspace = RhcWorkspace(compiled, cfg)
+        workspace = _workspace(compiled)
     if warm is None:
         warm = np.zeros(problem.dim)
     warm = np.asarray(warm, dtype=float).ravel()
@@ -112,8 +108,7 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True
                 status=solvers.CONVERGED, wall_time=time.perf_counter() - t0,
                 algorithm="dr")
             return compiled.first_stage(warm), report
-    report = solvers.dr_solve(problem, compiled.splitting, cfg, warm=warm,
-                              workspace=workspace.dr)
+    report = solvers.dr_solve(problem, cfg=cfg, warm=warm, workspace=workspace)
     applied = report.solution
     if not problem.C.contains(applied):
         applied = project(problem.C, applied, engine=workspace.resid_engine)
@@ -139,7 +134,7 @@ def simulate(compiled, x0, steps, cfg=None, terminal_shortcut=True):
     cfg = cfg or solvers.SolverConfig()
     game = compiled.game
     x = np.asarray(x0, dtype=float).ravel().copy()
-    workspace = RhcWorkspace(compiled, cfg)
+    workspace = _workspace(compiled)
     states = np.zeros((steps + 1, game.n))
     inputs = np.zeros((steps, sum(game.m)))
     iterations, residuals, margins, statuses = [], [], [], []

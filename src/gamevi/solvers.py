@@ -2,12 +2,13 @@
 
 The headline method is the Douglas-Rachford splitting-like iteration
 
-    y_k     = sol(C, H + M1, q + (M2 - H) u_k)          (a symmetric AVI == QP)
-    u_{k+1} = (H + M2)^{-1} (H (2 l_k y_k + (1 - 2 l_k) u_k) + M2 u_k)
+    y_k     = sol(C, I + M1, q + (M2 - I) u_k)          (a symmetric AVI == QP)
+    u_{k+1} = (I + M2)^{-1} (2 l y_k + (1 - 2 l) u_k + M2 u_k)
 
-for a splitting M = M1 + M2 with M1 = M1' >= 0, M2 positive definite (not
-necessarily symmetric) and H = H' > 0; it converges linearly for relaxation
-l_k in (0, 1]. The remaining algorithms (PGD, EXGD, NAGD, PRGD, aGRAAL) are
+for a splitting M = M1 + M2 with M1 = M1' >= 0 and M2 positive definite (not
+necessarily symmetric); it converges linearly for a relaxation l in (0, 1].
+This is the paper's iteration with the metric H = I, the one every caller
+uses. The remaining algorithms (PGD, EXGD, NAGD, PRGD, aGRAAL) are
 projection-based baselines under the same reporting interface.
 
 Every solver records the natural residual with step 1 at every iteration, so
@@ -40,14 +41,13 @@ ALGORITHMS = ("dr", "pgd", "exgd", "nagd", "prgd", "agraal")
 
 @dataclasses.dataclass
 class Splitting:
-    """Matrices of the splitting M = M1 + M2 plus the metric H."""
+    """Matrices of the splitting M = M1 + M2."""
     M1: np.ndarray
     M2: np.ndarray
-    H: np.ndarray
 
     def validate(self, M=None):
         """Check the convergence conditions; raises InvalidSplitting."""
-        M1, M2, H = self.M1, self.M2, self.H
+        M1, M2 = self.M1, self.M2
         scale = max(1.0, float(np.max(np.abs(M1))), float(np.max(np.abs(M2))))
         if np.max(np.abs(M1 - M1.T)) > 1e-10 * scale:
             raise InvalidSplitting("M1 must be symmetric")
@@ -57,25 +57,21 @@ class Splitting:
         mu2 = float(np.linalg.eigvalsh((M2 + M2.T) / 2.0)[0])
         if mu2 <= 0:
             raise InvalidSplitting(f"M2 must be positive definite (min sym eig {mu2:.3e})", mu=mu2)
-        if np.max(np.abs(H - H.T)) > 1e-10 * max(1.0, float(np.max(np.abs(H)))):
-            raise InvalidSplitting("H must be symmetric")
-        if float(np.linalg.eigvalsh(H)[0]) <= 0:
-            raise InvalidSplitting("H must be positive definite")
         if M is not None:
             err = np.max(np.abs(M1 + M2 - M))
             if err > 1e-12 * max(1.0, float(np.max(np.abs(M)))):
                 raise InvalidSplitting(f"M1 + M2 does not reproduce M (max err {err:.3e})")
 
 
-def make_dr_splitting(M, H=None):
-    """Canonical splitting M1 = (M + M')/4, M2 = M - M1, with H = I.
+def make_dr_splitting(M):
+    """Canonical splitting M1 = (M + M')/4, M2 = M - M1.
 
     Valid whenever the symmetric part of M is positive definite: M1 is then
     symmetric PSD, and M2 = M1 + (M - M')/2 has symmetric part M1, hence a
-    positive definite M2, so the DR iteration converges linearly.
+    positive definite M2, so the DR iteration converges linearly. Only that
+    condition is checked here; DrWorkspace validates the splitting.
     """
     M = np.asarray(M, dtype=float)
-    n = M.shape[0]
     mu = float(np.linalg.eigvalsh((M + M.T) / 2.0)[0])
     if mu <= 0:
         raise InvalidSplitting(
@@ -85,29 +81,24 @@ def make_dr_splitting(M, H=None):
     if not np.array_equal(M1 + M2, M):
         # one correction pass restores bitwise M1 + M2 == M
         M1 = M - M2
-    s = Splitting(M1, M2, np.eye(n) if H is None else np.asarray(H, dtype=float))
-    s.validate(M)
-    return s
+    return Splitting(M1, M2)
 
 
 @dataclasses.dataclass
 class SolverConfig:
     """Shared solver options.
 
-    relaxation is the DR relaxation l_k: a constant in (0, 1] or a sequence
-    (held at its last value once exhausted). step is the algorithm-specific
-    stepsize (lambda for PGD/EXGD/PRGD, lambda_0 for aGRAAL); None selects
-    the documented default derived from (mu, L). qp_tol is the KKT tolerance
-    of every inner QP solve (the DR step (a), residual projections and the
-    baselines' projections); the QP engine never iterates, so there is no
-    inner iteration cap.
+    relaxation is the constant DR relaxation l in (0, 1]. step is the
+    algorithm-specific stepsize (lambda for PGD/EXGD/PRGD, lambda_0 for
+    aGRAAL); None selects the documented default derived from (mu, L).
+    qp_tol is the KKT tolerance of every inner QP solve (the DR step (a),
+    residual projections and the baselines' projections); the QP engine
+    never iterates, so there is no inner iteration cap.
     """
     tol: float = 1e-3
     max_iter: int = 10_000
-    relaxation: object = 0.5
+    relaxation: float = 0.5
     step: float = None
-    beta: float = None
-    nagd_lambda0: float = 1.0
     qp_tol: float = 1e-8
 
     def __post_init__(self):
@@ -115,12 +106,9 @@ class SolverConfig:
             raise InvalidConfig("tol must be positive")
         if self.max_iter < 1:
             raise InvalidConfig("max_iter must be >= 1")
-
-    def relaxation_at(self, k):
-        if np.isscalar(self.relaxation):
-            return float(self.relaxation)
-        seq = self.relaxation
-        return float(seq[min(k, len(seq) - 1)])
+        if not (0.0 < self.relaxation <= 1.0):
+            raise InvalidConfig(
+                f"DR relaxation must lie in (0, 1], got {self.relaxation}")
 
 
 @dataclasses.dataclass
@@ -143,24 +131,31 @@ class SolverReport:
 
 
 class _Run:
-    """Shared bookkeeping: residual engine, trace, timing, termination."""
+    """Shared bookkeeping: projection, residual trace, timing, termination.
 
-    def __init__(self, p, cfg, algorithm, resid_engine=None):
+    project(v, slot) projects onto the problem's polyhedron with the run's
+    identity-metric engine, warm-starting each slot from its own last duals;
+    the residual uses the slot "resid".
+    """
+
+    def __init__(self, p, cfg, algorithm, engine=None):
         self.p = p
         self.cfg = cfg
         self.algorithm = algorithm
         self.t0 = time.perf_counter()
         self.residuals = []
-        self.engine = resid_engine or qp.QpEngine(np.eye(p.dim), p.C.D)
-        self._resid_dual = None
+        self.engine = engine or qp.QpEngine(np.eye(p.dim), p.C.D)
+        self.duals = {}
         self.b = -p.C.d
 
-    def residual(self, u):
-        v = u - self.p.F(u)
-        sol = self.engine.solve(-v, b=self.b, warm_dual=self._resid_dual,
+    def project(self, v, slot="x"):
+        sol = self.engine.solve(-v, b=self.b, warm_dual=self.duals.get(slot),
                                 tol=self.cfg.qp_tol)
-        self._resid_dual = sol.lam
-        return float(np.linalg.norm(u - sol.y))
+        self.duals[slot] = sol.lam
+        return sol.y
+
+    def residual(self, u):
+        return float(np.linalg.norm(u - self.project(u - self.p.F(u), "resid")))
 
     def record(self, u):
         """Append the residual at u; returns True when converged."""
@@ -179,26 +174,6 @@ class _Run:
         )
 
 
-class _Projector:
-    """Projection onto the problem's polyhedron with per-slot warm duals.
-
-    Shares the run's identity-metric engine; the warm duals stay separate
-    from the residual's.
-    """
-
-    def __init__(self, run):
-        self.engine = run.engine
-        self.b = run.b
-        self.cfg = run.cfg
-        self.duals = {}
-
-    def __call__(self, v, slot="x"):
-        sol = self.engine.solve(-v, b=self.b, warm_dual=self.duals.get(slot),
-                                tol=self.cfg.qp_tol)
-        self.duals[slot] = sol.lam
-        return sol.y
-
-
 def _start(p, warm):
     if warm is None:
         return np.zeros(p.dim)
@@ -211,26 +186,29 @@ def _start(p, warm):
 class DrWorkspace:
     """Factorizations reused across dr_solve calls sharing (M, splitting, D).
 
-    Holds the LU factors of H + M2, the QP engine for the step-(a) solve and
-    the residual engine; q and the constraint offsets d may vary call to
-    call, which is what the receding-horizon loop exploits.
+    The one place a splitting is validated (against M). Holds the splitting,
+    the LU factors of I + M2, the QP engine on I + M1 for the step-(a)
+    solve, M2 - I, and the identity-metric engine for residuals and
+    projections; q and the constraint offsets d may vary call to call,
+    which is what the receding-horizon loop exploits.
     """
 
     def __init__(self, M, splitting, C):
         splitting.validate(np.asarray(M, dtype=float))
+        eye = np.eye(C.D.shape[1])
         self.splitting = splitting
-        self.lu_HM2 = scipy.linalg.lu_factor(splitting.H + splitting.M2)
-        self.step_engine = qp.QpEngine(splitting.H + splitting.M1, C.D)
-        self.resid_engine = qp.QpEngine(np.eye(C.D.shape[1]), C.D)
-        self.M2mH = splitting.M2 - splitting.H
+        self.lu_IM2 = scipy.linalg.lu_factor(eye + splitting.M2)
+        self.step_engine = qp.QpEngine(eye + splitting.M1, C.D)
+        self.resid_engine = qp.QpEngine(eye, C.D)
+        self.M2mI = splitting.M2 - eye
 
 
 def dr_solve(p, s=None, cfg=None, warm=None, workspace=None):
     """Douglas-Rachford splitting iteration for AVI(C, M, q).
 
     Step (a) solves the symmetric AVI as the QP
-    min 0.5 y'(H+M1)y + (q + (M2 - H) u_k)' y over C; step (b) is an affine
-    update through the pre-factored H + M2. Stops when the natural residual
+    min 0.5 y'(I+M1)y + (q + (M2 - I) u_k)' y over C; step (b) is an affine
+    update through the pre-factored I + M2. Stops when the natural residual
     drops to cfg.tol; the iteration count equals the number of step-(a)
     solves performed.
 
@@ -238,7 +216,8 @@ def dr_solve(p, s=None, cfg=None, warm=None, workspace=None):
     ----------
     p : AviProblem
     s : Splitting, optional
-        Defaults to make_dr_splitting(p.M).
+        Defaults to make_dr_splitting(p.M). With a workspace it may only be
+        the workspace's own splitting.
     cfg : SolverConfig, optional
     warm : array, optional
         Starting point u_0 (defaults to zero).
@@ -246,32 +225,26 @@ def dr_solve(p, s=None, cfg=None, warm=None, workspace=None):
         Reusable factorizations for repeated solves with the same (M, C.D).
     """
     cfg = cfg or SolverConfig()
-    if s is None and workspace is not None:
-        s = workspace.splitting
-    if s is None:
-        s = make_dr_splitting(p.M)
-    for k in range(len(cfg.relaxation) if not np.isscalar(cfg.relaxation) else 1):
-        lam = cfg.relaxation_at(k)
-        if not (0.0 < lam <= 1.0):
-            raise InvalidConfig(f"DR relaxation must lie in (0, 1], got {lam}")
     if workspace is None:
-        workspace = DrWorkspace(p.M, s, p.C)
+        workspace = DrWorkspace(p.M, make_dr_splitting(p.M) if s is None else s, p.C)
+    elif s is not None and s is not workspace.splitting:
+        raise InvalidConfig("s differs from the workspace's splitting")
     elif (workspace.step_engine.n != p.dim
           or workspace.step_engine.m != p.C.n_rows):
         raise InvalidConfig("workspace was built for a different problem shape")
-    run = _Run(p, cfg, "dr", resid_engine=workspace.resid_engine)
+    run = _Run(p, cfg, "dr", engine=workspace.resid_engine)
     u = _start(p, warm)
     b = -p.C.d
-    H, M2 = s.H, s.M2
+    M2 = workspace.splitting.M2
+    lam = cfg.relaxation
     y_dual = None
     converged = False
-    for k in range(cfg.max_iter):
-        c = p.q + workspace.M2mH @ u
+    for _ in range(cfg.max_iter):
+        c = p.q + workspace.M2mI @ u
         sol = workspace.step_engine.solve(c, b=b, warm_dual=y_dual, tol=cfg.qp_tol)
         y, y_dual = sol.y, sol.lam
-        lam_k = cfg.relaxation_at(k)
         u = scipy.linalg.lu_solve(
-            workspace.lu_HM2, H @ (2.0 * lam_k * y + (1.0 - 2.0 * lam_k) * u) + M2 @ u)
+            workspace.lu_IM2, 2.0 * lam * y + (1.0 - 2.0 * lam) * u + M2 @ u)
         if run.record(u):
             converged = True
             break
@@ -290,7 +263,7 @@ def pgd_solve(p, cfg=None, warm=None):
     if not (0.0 < lam < 2.0 * mu / L ** 2):
         raise InvalidConfig(f"PGD step must lie in (0, 2 mu/L^2) = (0, {2*mu/L**2:.3e})")
     run = _Run(p, cfg, "pgd")
-    proj = _Projector(run)
+    proj = run.project
     u = _start(p, warm)
     converged = False
     for _ in range(cfg.max_iter):
@@ -309,7 +282,7 @@ def exgd_solve(p, cfg=None, warm=None):
     if not (0.0 < lam < 1.0 / L):
         raise InvalidConfig(f"EXGD step must lie in (0, 1/L) = (0, {1/L:.3e})")
     run = _Run(p, cfg, "exgd")
-    proj = _Projector(run)
+    proj = run.project
     u = _start(p, warm)
     converged = False
     for _ in range(cfg.max_iter):
@@ -327,7 +300,7 @@ def nagd_solve(p, cfg=None, warm=None):
     Both per-iteration argmax subproblems reduce to projections: the
     averaged update is proj(S_k / (mu Lambda_k)) with the running sums
     S_k = sum_i l_i (mu y_i - F(y_i)), Lambda_k = sum_i l_i, and the
-    lookahead is proj(u_k - F(u_k)/beta) with beta = L. Weights follow
+    lookahead is proj(u_k - F(u_k)/L). Weights follow
     l_{k+1} = (mu / L) Lambda_k from l_0 = 1.
     """
     cfg = cfg or SolverConfig()
@@ -335,12 +308,11 @@ def nagd_solve(p, cfg=None, warm=None):
     if not mono.strongly_monotone:
         raise NotStronglyMonotone(
             f"NAGD requires mu > 0 (lambda_min = {mono.lambda_min:.3e})")
-    mu = mono.mu
-    beta = cfg.beta if cfg.beta is not None else mono.L
+    mu, L = mono.mu, mono.L
     run = _Run(p, cfg, "nagd")
-    proj = _Projector(run)
+    proj = run.project
     y = _start(p, warm)
-    lam_k = cfg.nagd_lambda0
+    lam_k = 1.0
     S = np.zeros(p.dim)
     Lambda = 0.0
     u = y.copy()
@@ -353,8 +325,8 @@ def nagd_solve(p, cfg=None, warm=None):
         if run.record(u):
             converged = True
             break
-        y = proj(u - p.F(u) / beta, slot="y")
-        lam_k = (mu / mono.L) * Lambda
+        y = proj(u - p.F(u) / L, slot="y")
+        lam_k = (mu / L) * Lambda
     return run.report(u, converged)
 
 
@@ -371,7 +343,7 @@ def prgd_solve(p, cfg=None, warm=None):
     if not (0.0 < lam < bound):
         raise InvalidConfig(f"PRGD step must lie in (0, (sqrt(2)-1)/L) = (0, {bound:.3e})")
     run = _Run(p, cfg, "prgd")
-    proj = _Projector(run)
+    proj = run.project
     u = _start(p, warm)
     u_prev = u.copy()
     converged = False
@@ -387,20 +359,20 @@ def prgd_solve(p, cfg=None, warm=None):
 def agraal_solve(p, cfg=None, warm=None):
     """Adaptive golden-ratio algorithm.
 
-    beta = (sqrt(5)-1)/2 and lambda_0 = lambda_{-1} = 1/L unless overridden;
-    the adaptive stepsize is
+    beta = (sqrt(5)-1)/2 and lambda_0 = lambda_{-1} = 1/L unless cfg.step
+    sets lambda_0; the adaptive stepsize is
     min{(beta + beta^2) lambda_{k-1},
         ||u_k - u_{k-1}||^2 / (4 beta^2 lambda_{k-2} ||F(u_k) - F(u_{k-1})||^2)},
     with a guard selecting the first branch when the ratio degenerates to 0/0.
     """
     cfg = cfg or SolverConfig()
     L = monotonicity_constants(p.M).L
-    beta = cfg.beta if cfg.beta is not None else (np.sqrt(5.0) - 1.0) / 2.0
+    beta = (np.sqrt(5.0) - 1.0) / 2.0
     lam0 = cfg.step if cfg.step is not None else 1.0 / L
-    if lam0 <= 0 or not (0.0 < beta <= (np.sqrt(5.0) - 1.0) / 2.0):
-        raise InvalidConfig("aGRAAL needs lambda_0 > 0 and beta in (0, (sqrt(5)-1)/2]")
+    if lam0 <= 0:
+        raise InvalidConfig("aGRAAL needs lambda_0 > 0")
     run = _Run(p, cfg, "agraal")
-    proj = _Projector(run)
+    proj = run.project
     u = _start(p, warm)
     ybar = u.copy()
     Fu = p.F(u)

@@ -13,10 +13,15 @@ import numpy as np
 def kkt_enumerate(M, q, D, d, feas_tol=1e-9):
     """Solve AVI(C, M, q) on {Du + d <= 0} by enumerating active sets.
 
-    For each subset A of rows, solves the equality KKT system
-    [M  D_A'; D_A  0] [u; lam] = [-q; -d_A] and keeps the candidate whose
-    inactive rows are satisfied and whose multipliers are nonnegative.
-    Exponential in the number of rows: fits n <= 6, m <= 4 style problems.
+    For each subset A of rows with D_A of full row rank, solves the
+    equality KKT system [M  D_A'; D_A  0] [u; lam] = [-q; -d_A] and keeps
+    the candidate whose inactive rows are satisfied and whose multipliers
+    are nonnegative. Rank-deficient subsets (duplicated rows, more rows than
+    variables) make the system singular, and np.linalg.solve does not
+    always reject it; skipping them loses no solution, because the
+    multipliers of a solution can always be chosen supported on linearly
+    independent rows (Caratheodory). Exponential in the number of rows:
+    fits n <= 6, m <= 7 style problems.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float).ravel()
@@ -29,6 +34,8 @@ def kkt_enumerate(M, q, D, d, feas_tol=1e-9):
         for rows in itertools.combinations(range(m), r):
             rows = list(rows)
             Da = D[rows, :]
+            if r and np.linalg.matrix_rank(Da) < r:
+                continue
             kkt = np.block([[M, Da.T], [Da, np.zeros((r, r))]])
             rhs = np.concatenate([-q, -d[rows]])
             try:

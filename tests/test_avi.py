@@ -115,12 +115,6 @@ def test_natural_residual_cross_checked_with_kkt_oracle():
         assert natural_residual(p, u_star) < 5e-8
 
 
-def test_natural_residual_requires_positive_step():
-    p = AviProblem([[1.0]], [0.0], Polyhedron.unconstrained(1))
-    with pytest.raises(ValueError):
-        natural_residual(p, [0.0], step=0.0)
-
-
 def test_monotonicity_identity():
     c = monotonicity_constants(np.eye(3))
     assert c.mu == pytest.approx(1.0)

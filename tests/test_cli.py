@@ -237,6 +237,19 @@ def test_validate_game_compile_failure(tmp_path, capsys):
     assert payload["error"]["type"] == "NoConvergence"
 
 
+def test_validate_non_finite_game_error_json(tmp_path, capsys):
+    good = {"A": [[0.5]], "B": [[[1.0]]], "Q": [[[1.0]]], "R": [[[1.0]]],
+            "T": 2, "Du": [[[1.0]]], "du": [-1.0]}
+    for key, value in (("Q", [[[float("nan")]]]), ("du", [float("inf")])):
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps(dict(good, **{key: value})))
+        rc = cli.main(["validate", "--game", str(path)])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert not payload["ok"]
+        assert payload["error"]["type"] == "NonFiniteData"
+
+
 def test_validate_non_finite_problem_error_json(tmp_path, capsys):
     rc = cli.main(["validate", "--problem", non_finite_problem(tmp_path)])
     assert rc == 1

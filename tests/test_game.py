@@ -7,7 +7,7 @@ import scipy.linalg
 from gamevi import game as G
 from gamevi.avi import monotonicity_constants, natural_residual
 from gamevi.blockmat import blkdg, blkmat, kron
-from gamevi.errors import InvalidSplitting, NoConvergence, SingularA
+from gamevi.errors import InvalidSplitting, NoConvergence, NonFiniteData, SingularA
 from gamevi.solvers import SolverConfig, dr_solve, make_dr_splitting
 
 from oracles import finite_diff_gradient, simulate_states, stagewise_feasible
@@ -30,6 +30,21 @@ def random_stable_game(rng, n=3, N=2, T=4, r_scale=4.0):
         Q.append(C.T @ C / n)
     R = [r_scale * np.eye(b.shape[1]) for b in B]
     return G.LqGame(A, B, Q, R, T=T)
+
+
+def test_lq_game_rejects_non_finite_data():
+    one = [[1.0]]
+    parts = {"A": one, "B": [one], "Q": [one], "R": [one], "Ex": one,
+             "Eu": [one], "e": [-1.0], "Dx": one, "dx": [-1.0]}
+    G.LqGame(T=2, **parts)
+    for key, value in parts.items():
+        for bad in (np.nan, np.inf):
+            broken = dict(parts, **{key: np.full(np.shape(value), bad)})
+            with pytest.raises(NonFiniteData):
+                G.LqGame(T=2, **broken)
+    with pytest.raises(NonFiniteData):
+        G.LqGame.from_stage_constraints(one, [one], [one], [one], T=2,
+                                        Du=[one], du=[np.inf])
 
 
 # ------------------------------------------------------------ coupled ARE

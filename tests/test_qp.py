@@ -183,19 +183,33 @@ def degenerate_problem(rng, n, m):
             Polyhedron(D, d))
 
 
+def test_kkt_enumerate_agrees_with_solve_qp_on_degenerate_rows():
+    # duplicated rows and m > n distinct rows give rank-deficient active
+    # sets, whose singular KKT systems the oracle must skip
+    for seed in (1, 2, 3, 4, 186):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            n = int(rng.integers(2, 5))
+            prob, unique = degenerate_problem(rng, n, int(rng.integers(n + 1, 6)))
+            sol = solve_qp(prob, tol=1e-10)
+            assert sol.status == OPTIMAL
+            for C in (prob.C, unique):
+                assert np.allclose(kkt_enumerate(prob.P, prob.c, C.D, C.d),
+                                   sol.y, atol=1e-7)
+
+
 def test_least_distance_fallback_on_degenerate_instances():
     # neither direct guess succeeds on a good share of these; the exact
-    # fallback must then reach the tolerance and agree with the oracle (run
-    # on the rows without duplicates, which define the same set). Each
-    # instance is solved again with an all-zero row violated by 1e-11, as
-    # best_response builds them; that row must not empty the set.
+    # fallback must then reach the tolerance and agree with the oracle.
+    # Each instance is solved again with an all-zero row violated by 1e-11,
+    # as best_response builds them; that row must not empty the set.
     rng = np.random.default_rng(6)
     tol = 1e-10
     fallbacks = [0, 0]
     for _ in range(30):
         n = int(rng.integers(2, 5))
-        prob, unique = degenerate_problem(rng, n, int(rng.integers(n + 1, 6)))
-        expected = kkt_enumerate(prob.P, prob.c, unique.D, unique.d)
+        prob, _ = degenerate_problem(rng, n, int(rng.integers(n + 1, 6)))
+        expected = kkt_enumerate(prob.P, prob.c, prob.C.D, prob.C.d)
         round_off = Polyhedron(np.vstack([prob.C.D, np.zeros((1, n))]),
                                np.append(prob.C.d, 1e-11))
         for k, C in enumerate([prob.C, round_off]):

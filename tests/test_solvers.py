@@ -26,7 +26,6 @@ def test_make_dr_splitting_symmetric_pd():
     s = make_dr_splitting(M)
     assert np.allclose(s.M1, M / 2)
     assert np.allclose(s.M2, M / 2)
-    assert np.array_equal(s.H, np.eye(2))
 
 
 def test_make_dr_splitting_direct_arithmetic():
@@ -55,13 +54,13 @@ def test_splitting_identities():
 
 def test_splitting_validate_rejects_wrong_sum():
     M = np.eye(2)
-    s = Splitting(np.eye(2), np.eye(2), np.eye(2))
+    s = Splitting(np.eye(2), np.eye(2))
     with pytest.raises(InvalidSplitting):
         s.validate(M)
 
 
 def test_splitting_validate_rejects_indefinite_m2():
-    s = Splitting(np.eye(2), -np.eye(2), np.eye(2))
+    s = Splitting(np.eye(2), -np.eye(2))
     with pytest.raises(InvalidSplitting):
         s.validate()
 
@@ -110,18 +109,19 @@ def test_dr_rejects_bad_relaxation():
     with pytest.raises(InvalidConfig):
         dr_solve(p, cfg=SolverConfig(relaxation=1.5))
     with pytest.raises(InvalidConfig):
-        dr_solve(p, cfg=SolverConfig(relaxation=[0.5, 0.0]))
+        dr_solve(p, cfg=SolverConfig(relaxation=0.0))
 
 
-def test_dr_relaxation_schedule_list():
+def test_dr_relaxation_values_converge():
     p = scalar_problem()
-    rep = dr_solve(p, cfg=SolverConfig(tol=1e-9, relaxation=[0.3, 0.5, 1.0]))
-    assert rep.converged
+    for relaxation in (0.3, 0.5, 1.0):
+        rep = dr_solve(p, cfg=SolverConfig(tol=1e-9, relaxation=relaxation))
+        assert rep.converged
 
 
 def test_dr_validates_splitting_against_problem():
     p = scalar_problem()
-    bad = Splitting(np.array([[0.6]]), np.array([[0.6]]), np.eye(1))
+    bad = Splitting(np.array([[0.6]]), np.array([[0.6]]))
     with pytest.raises(InvalidSplitting):
         dr_solve(p, s=bad)
 
@@ -341,6 +341,25 @@ def test_dr_workspace_shape_mismatch_rejected():
     other = random_avi(6, 4, 31)
     with pytest.raises(InvalidConfig):
         dr_solve(other, None, SolverConfig(), workspace=ws)
+
+
+def test_dr_workspace_carries_its_splitting():
+    """Step (b) uses the workspace's M2: a solve through a workspace built
+    from another valid splitting matches a fresh solve with that splitting,
+    and passing a splitting the workspace was not built from is rejected
+    (mixing the two stalls at residual ~0.2)."""
+    from gamevi.solvers import DrWorkspace
+    p = random_avi(30, 8, seed=5)
+    s = make_dr_splitting(p.M)
+    shift = 0.4 * monotonicity_constants(p.M).mu * np.eye(p.dim)
+    s2 = Splitting(s.M1 + shift, s.M2 - shift)
+    cfg = SolverConfig(tol=1e-6, max_iter=3000)
+    fresh = dr_solve(p, s2, cfg)
+    shared = dr_solve(p, cfg=cfg, workspace=DrWorkspace(p.M, s2, p.C))
+    assert fresh.converged and shared.converged
+    assert np.array_equal(shared.solution, fresh.solution)
+    with pytest.raises(InvalidConfig):
+        dr_solve(p, s2, cfg, workspace=DrWorkspace(p.M, s, p.C))
 
 
 def test_solvers_handle_unconstrained_instances():
