@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import qp
-from .errors import NonFiniteData
+from .errors import DimensionMismatch, NonFiniteData, require_fields
 
 __all__ = [
     "Polyhedron", "AviProblem", "MonotonicityConstants", "AviDiagnosis",
@@ -31,7 +31,7 @@ class Polyhedron:
         self.D = np.atleast_2d(np.asarray(self.D, dtype=float))
         self.d = np.asarray(self.d, dtype=float).ravel()
         if self.D.shape[0] != self.d.shape[0]:
-            raise ValueError("D and d row counts differ")
+            raise DimensionMismatch("D and d row counts differ")
         if not np.all(np.isfinite(self.D)) or not np.all(np.isfinite(self.d)):
             raise NonFiniteData("constraint data must be finite")
 
@@ -67,11 +67,11 @@ class AviProblem:
         self.q = np.asarray(self.q, dtype=float).ravel()
         n = self.M.shape[0]
         if self.M.shape != (n, n):
-            raise ValueError("M must be square")
+            raise DimensionMismatch("M must be square")
         if self.q.shape != (n,):
-            raise ValueError("q length must match M")
+            raise DimensionMismatch("q length must match M")
         if self.C.dim != n:
-            raise ValueError("constraint dimension must match M")
+            raise DimensionMismatch("constraint dimension must match M")
         if not np.all(np.isfinite(self.M)) or not np.all(np.isfinite(self.q)):
             raise NonFiniteData("M and q must be finite")
 
@@ -187,13 +187,25 @@ def write_avi(p, path):
         fh.write("\n")
 
 
+def _matrix(payload, name, shape):
+    """Row-major entries payload[name] as a matrix of the given shape."""
+    a = np.array(payload[name], dtype=float)
+    if a.size != shape[0] * shape[1]:
+        raise DimensionMismatch(
+            f"{name} has {a.size} entries, expected {shape[0]} x {shape[1]}")
+    return a.reshape(shape)
+
+
 def read_avi(path):
     with open(path) as fh:
         payload = json.load(fh)
+    require_fields(payload, ("n", "m", "M", "q", "D", "d"), path)
     n = int(payload["n"])
     m = int(payload["m"])
-    M = np.array(payload["M"], dtype=float).reshape(n, n)
+    if n < 1 or m < 0:
+        raise DimensionMismatch(f"need n >= 1 and m >= 0, got n = {n}, m = {m}")
+    M = _matrix(payload, "M", (n, n))
     q = np.array(payload["q"], dtype=float)
-    D = np.array(payload["D"], dtype=float).reshape(m, n)
+    D = _matrix(payload, "D", (m, n))
     d = np.array(payload["d"], dtype=float)
     return AviProblem(M, q, Polyhedron(D, d))

@@ -47,7 +47,20 @@ def _solver_config(args):
     return solvers.SolverConfig(tol=args.tol, max_iter=args.max_iter)
 
 
+def _below_minimum(args, **minimums):
+    """Print a usage message for the first size argument below its minimum
+    and return True; return False when all are in range."""
+    for name, low in minimums.items():
+        value = getattr(args, name)
+        if value < low:
+            print(f"--{name} must be >= {low}, got {value}", file=sys.stderr)
+            return True
+    return False
+
+
 def cmd_bench(args):
+    if _below_minimum(args, instances=1, n=1, m=0):
+        return 2
     algos = args.algos.split(",")
     for a in algos:
         if a not in solvers.ALGORITHMS:
@@ -134,6 +147,8 @@ def cmd_solve(args):
 
 
 def cmd_crossroad(args):
+    if _below_minimum(args, steps=1, horizon=1):
+        return 2
     os.makedirs(args.out_dir, exist_ok=True)
     spec = scenario.default_15_vehicle_spec()
     if args.vehicles != spec.n_vehicles:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the required-field check
+the JSON file readers share."""
 
 
 class GameViError(Exception):
@@ -56,4 +57,12 @@ class SingularA(GameViError, ValueError):
 
 
 class SpecError(GameViError, ValueError):
-    """A scenario specification is internally inconsistent."""
+    """A scenario specification or data file is inconsistent or incomplete."""
+
+
+def require_fields(payload, names, path):
+    """Raise SpecError naming the fields of ``names`` missing from the
+    JSON object ``payload`` read from ``path``."""
+    missing = [name for name in names if name not in payload]
+    if missing:
+        raise SpecError(f"{path}: missing required field(s) {', '.join(missing)}")

@@ -24,6 +24,7 @@ Stage constraints come in two families:
 """
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -32,7 +33,8 @@ import scipy.linalg
 from . import qp
 from .avi import AviProblem, Polyhedron
 from .blockmat import blkdg, build_gamma, build_theta, kron
-from .errors import NoConvergence, NonFiniteData, SingularA
+from .errors import (DimensionMismatch, NoConvergence, NonFiniteData, SingularA,
+                     require_fields)
 from .solvers import make_dr_splitting
 
 __all__ = [
@@ -40,19 +42,23 @@ __all__ = [
     "StandingAssumptionsDiagnosis", "CareSolvabilityDiagnosis", "solve_coupled_riccati",
     "build_augmented", "solve_are", "compile_vi",
     "unconstrained_ne_sequence", "in_terminal_set", "check_standing_assumptions",
-    "check_care_solvability", "best_response", "rollout", "read_game", "write_game",
+    "check_care_solvability", "best_response", "read_game", "write_game",
 ]
 
 
 def _matrices(items, name):
     out = [np.atleast_2d(np.asarray(m, dtype=float)) for m in items]
     if not out:
-        raise ValueError(f"{name} must be a non-empty list")
+        raise DimensionMismatch(f"{name} must be a non-empty list")
     return out
 
 
 class LqGame:
-    """Game data over a fixed horizon; immutable by convention after build."""
+    """Game data over a fixed horizon; immutable by convention after build.
+
+    offsets[i]:offsets[i + 1] are agent i's rows of a stacked stage input
+    col_i(u_i[t]); scaled by T they bound its block of the horizon input.
+    """
 
     def __init__(self, A, B, Q, R, T, Ex=None, Eu=None, e=None,
                  Dx=None, dx=None, meta=None):
@@ -64,19 +70,20 @@ class LqGame:
         self.N = len(self.B)
         self.n = self.A.shape[0]
         self.m = [b.shape[1] for b in self.B]
+        self.offsets = tuple(itertools.accumulate(self.m, initial=0))
         if self.A.shape != (self.n, self.n):
-            raise ValueError("A must be square")
+            raise DimensionMismatch("A must be square")
         if self.T < 1:
-            raise ValueError("horizon must be >= 1")
+            raise DimensionMismatch("horizon must be >= 1")
         if len(self.Q) != self.N or len(self.R) != self.N:
-            raise ValueError("B, Q, R must have one entry per agent")
+            raise DimensionMismatch("B, Q, R must have one entry per agent")
         for i in range(self.N):
             if self.B[i].shape[0] != self.n:
-                raise ValueError(f"B[{i}] height must equal the state dimension")
+                raise DimensionMismatch(f"B[{i}] height must equal the state dimension")
             if self.Q[i].shape != (self.n, self.n):
-                raise ValueError(f"Q[{i}] must be n x n")
+                raise DimensionMismatch(f"Q[{i}] must be n x n")
             if self.R[i].shape != (self.m[i], self.m[i]):
-                raise ValueError(f"R[{i}] must match the width of B[{i}]")
+                raise DimensionMismatch(f"R[{i}] must match the width of B[{i}]")
         # mixed rows: Ex x[t] + sum_i Eu_i u_i[t] + e <= 0, t = 0..T-1
         if Eu is None:
             self.Ex = np.zeros((0, self.n))
@@ -89,9 +96,9 @@ class LqGame:
                        else np.atleast_2d(np.asarray(Ex, dtype=float)))
             self.e = np.asarray(e, dtype=float).ravel()
             if len(self.Eu) != self.N or any(m.shape[0] != p for m in self.Eu):
-                raise ValueError("Eu blocks must agree on the row count")
+                raise DimensionMismatch("Eu blocks must agree on the row count")
             if self.Ex.shape != (p, self.n) or self.e.shape != (p,):
-                raise ValueError("Ex / e shapes do not match the mixed rows")
+                raise DimensionMismatch("Ex / e shapes do not match the mixed rows")
         # state rows: Dx x[t] + dx <= 0, t = 1..T
         if Dx is None:
             self.Dx = np.zeros((0, self.n))
@@ -100,14 +107,13 @@ class LqGame:
             self.Dx = np.atleast_2d(np.asarray(Dx, dtype=float))
             self.dx = np.asarray(dx, dtype=float).ravel()
             if self.Dx.shape[1] != self.n or self.Dx.shape[0] != self.dx.shape[0]:
-                raise ValueError("Dx / dx shapes are inconsistent")
+                raise DimensionMismatch("Dx / dx shapes are inconsistent")
         if not all(np.all(np.isfinite(a)) for a in [
                 self.A, *self.B, *self.Q, *self.R, self.Ex, *self.Eu, self.e,
                 self.Dx, self.dx]):
             raise NonFiniteData("game data must be finite")
         self.meta = dict(meta) if meta else {}
         self.source = None  # original parts for JSON round-trips
-        self.prestab_gains = None
 
     @classmethod
     def from_stage_constraints(cls, A, B, Q, R, T, Du=None, du=None,
@@ -127,7 +133,7 @@ class LqGame:
             gains = _matrices(K_pre, "K_pre")
             if len(gains) != game.N or any(
                     g.shape != (game.m[i], game.n) for i, g in enumerate(gains)):
-                raise ValueError("K_pre gains must be m_i x n per agent")
+                raise DimensionMismatch("K_pre gains must be m_i x n per agent")
             game = game.prestabilized(gains)
             source["K_pre"] = gains
         game.source = source
@@ -143,41 +149,21 @@ class LqGame:
         gains = _matrices(gains, "gains")
         A_new = self.A + sum(self.B[i] @ gains[i] for i in range(self.N))
         Ex_new = self.Ex + sum(self.Eu[i] @ gains[i] for i in range(self.N))
-        out = LqGame(A_new, self.B, self.Q, self.R, self.T,
-                     Ex=Ex_new, Eu=self.Eu, e=self.e, Dx=self.Dx, dx=self.dx,
-                     meta=self.meta)
-        out.prestab_gains = gains
-        return out
+        return LqGame(A_new, self.B, self.Q, self.R, self.T,
+                      Ex=Ex_new, Eu=self.Eu, e=self.e, Dx=self.Dx, dx=self.dx,
+                      meta=self.meta)
 
     @property
     def input_dim(self):
-        return sum(self.m) * self.T
+        return self.offsets[-1] * self.T
 
     def agent_slice(self, i):
-        off = sum(self.m[j] for j in range(i)) * self.T
-        return slice(off, off + self.m[i] * self.T)
+        return slice(self.offsets[i] * self.T, self.offsets[i + 1] * self.T)
 
     def split_input(self, u):
         """Stacked input -> list of per-agent (T, m_i) arrays."""
         return [np.asarray(u[self.agent_slice(i)]).reshape(self.T, self.m[i])
                 for i in range(self.N)]
-
-
-def rollout(game, x0, u, steps=None):
-    """Step-by-step simulation of x+ = A x + sum_i B_i u_i[t].
-
-    u is a stacked input (agent-major); returns the (steps+1, n) state
-    trajectory starting at x0. This is the arithmetic ground truth the
-    condensed prediction matrices must reproduce.
-    """
-    steps = game.T if steps is None else steps
-    blocks = game.split_input(u)
-    xs = np.zeros((steps + 1, game.n))
-    xs[0] = np.asarray(x0, dtype=float).ravel()
-    for t in range(steps):
-        xs[t + 1] = game.A @ xs[t] + sum(
-            game.B[i] @ blocks[i][t] for i in range(game.N))
-    return xs
 
 
 @dataclasses.dataclass
@@ -211,9 +197,8 @@ def solve_coupled_riccati(game, tol=1e-10, max_iter=10_000):
     (N, n, n) stack.
     """
     A, Q = game.A, np.stack(game.Q)
-    n, N, m = game.n, game.N, game.m
+    n, N, offs = game.n, game.N, game.offsets
     P = Q.copy()
-    offs = np.concatenate([[0], np.cumsum(m)])
     Bs = np.hstack(game.B)
     RinvBt = scipy.linalg.block_diag(
         *[np.linalg.solve(game.R[i], game.B[i].T) for i in range(N)])
@@ -334,9 +319,8 @@ def solve_are(A_hat, B_hat, Q_hat, R, tol=1e-12, max_iter=64):
 
 @dataclasses.dataclass
 class AugmentedRiccati:
-    """Uncoupled augmented-ARE products; P_hat entries are symmetric PSD."""
+    """Uncoupled augmented-ARE solutions (symmetric PSD) and their residuals."""
     P_hat: list
-    K_hat: list
     residuals: list
 
 
@@ -344,6 +328,10 @@ class CompiledGameVi:
     """Everything the receding-horizon loop needs, precomputed once.
 
     Attributes of note:
+      theta, gamma  condensed predictor: the states x[1..T] stacked are
+                 theta @ x0 + gamma @ u (see predict); gamma = [Gamma_1 ..
+                 Gamma_N] is agent-major like u, and gammas[i] is the column
+                 view of it that agent i's block multiplies
       M_ol       the VI matrix (nonsymmetric in general)
       qmap       q of x0 is qmap @ x0
       D, d0, Dmap   constraints: D u + (d0 + Dmap x0) <= 0
@@ -352,13 +340,17 @@ class CompiledGameVi:
                  best-response terminal cost
     """
 
-    def __init__(self, game, riccati, augmented, theta, gammas, M_ol, qmap,
+    def __init__(self, game, riccati, augmented, theta, gamma, M_ol, qmap,
                  D, d0, Dmap, splitting):
         self.game = game
         self.riccati = riccati
         self.augmented = augmented
         self.theta = theta
-        self.gammas = gammas
+        self.gamma = gamma
+        self.gammas = [gamma[:, game.agent_slice(i)] for i in range(game.N)]
+        # stacked index of u_i[0]: agent i's block starts at offsets[i] * T
+        stage = np.arange(game.offsets[-1])
+        self._first = stage + np.repeat(game.offsets[:-1], game.m) * (game.T - 1)
         self.M_ol = M_ol
         self.qmap = qmap
         self.D = D
@@ -401,11 +393,14 @@ class CompiledGameVi:
     def avi_at(self, x0):
         return AviProblem(self.M_ol, self.q_of(x0), self.polyhedron_at(x0))
 
+    def predict(self, x0, u):
+        """Stacked predicted states col(x[1], ..., x[T]) under the stacked
+        input u from x0."""
+        return self.theta @ np.asarray(x0, dtype=float).ravel() + self.gamma @ u
+
     def first_stage(self, u):
         """Extract col_i(u_i[0]) from a stacked full-horizon input."""
-        game = self.game
-        return np.concatenate([
-            u[game.agent_slice(i)][:game.m[i]] for i in range(game.N)])
+        return u[self._first]
 
 
 def compile_vi(game):
@@ -421,53 +416,38 @@ def compile_vi(game):
     riccati = solve_coupled_riccati(game)
     n, N, T = game.n, game.N, game.T
     theta = build_theta(game.A, T)
-    gammas = [build_gamma(game.A, game.B[i], T) for i in range(N)]
+    gamma = np.hstack([build_gamma(game.A, game.B[i], T) for i in range(N)])
 
-    dims = [game.m[i] * T for i in range(N)]
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    M_ol = np.zeros((offs[-1], offs[-1]))
-    qmap = np.zeros((offs[-1], n))
-    Qbar = [blkdg([game.Q[i]] * (T - 1) + [riccati.P_ol[i]]) for i in range(N)]
-    Rbar = [kron(np.eye(T), game.R[i]) for i in range(N)]
-    for i in range(N):
-        GtQ = gammas[i].T @ Qbar[i]
-        M_ol[offs[i]:offs[i+1], offs[i]:offs[i+1]] = Rbar[i]
-        for j in range(N):
-            M_ol[offs[i]:offs[i+1], offs[j]:offs[j+1]] += GtQ @ gammas[j]
-        qmap[offs[i]:offs[i+1]] = GtQ @ theta
+    # row block i of GtQ is Gamma_i' Qbar_i
+    GtQ = np.vstack([
+        gamma[:, game.agent_slice(i)].T
+        @ blkdg([game.Q[i]] * (T - 1) + [riccati.P_ol[i]]) for i in range(N)])
+    M_ol = blkdg([kron(np.eye(T), game.R[i]) for i in range(N)]) + GtQ @ gamma
+    qmap = GtQ @ theta
 
     # constraint stack: mixed rows for stages 0..T-1 on top, state rows for
-    # stages 1..T below; agent j owns one column block of each family
-    p_mix = game.e.shape[0]
-    p_x = game.dx.shape[0]
+    # stages 1..T below
     IEx = kron(np.eye(T), game.Ex)
     IDx = kron(np.eye(T), game.Dx)
-    # stage-state predictor col(A^0 .. A^{T-1}) and the matching shifted gammas
+    # stage-state predictor col(x[0] .. x[T-1]) = theta_stage x0 + gamma_stage u
     theta_stage = np.vstack([np.eye(n), theta[:n * (T - 1)]])
-    col_blocks = []
-    for j in range(N):
-        shifted = np.zeros((n * T, dims[j]))
-        shifted[n:] = gammas[j][:n * (T - 1)]
-        mix_block = kron(np.eye(T), game.Eu[j]) + IEx @ shifted
-        state_block = IDx @ gammas[j]
-        col_blocks.append(np.vstack([mix_block, state_block]))
-    D = np.hstack(col_blocks) if col_blocks else np.zeros((0, 0))
+    gamma_stage = np.vstack([np.zeros((n, gamma.shape[1])), gamma[:n * (T - 1)]])
+    mixed = np.hstack([kron(np.eye(T), game.Eu[j]) for j in range(N)])
+    D = np.vstack([mixed + IEx @ gamma_stage, IDx @ gamma])
     d0 = np.concatenate([np.tile(game.e, T), np.tile(game.dx, T)])
     Dmap = np.vstack([IEx @ theta_stage, IDx @ theta])
 
     splitting = make_dr_splitting(M_ol)
 
-    aug_parts = build_augmented(game, riccati)
-    P_hat, K_hat, residuals = [], [], []
-    for i, (A_hat, B_hat, Q_hat) in enumerate(aug_parts):
+    P_hat, residuals = [], []
+    for i, (A_hat, B_hat, Q_hat) in enumerate(build_augmented(game, riccati)):
         P, K = solve_are(A_hat, B_hat, Q_hat, game.R[i])
-        res = float(np.max(np.abs(P - (Q_hat + A_hat.T @ P @ (A_hat + B_hat @ K)))))
         P_hat.append(P)
-        K_hat.append(K)
-        residuals.append(res)
-    augmented = AugmentedRiccati(P_hat, K_hat, residuals)
+        residuals.append(float(np.max(np.abs(
+            P - (Q_hat + A_hat.T @ P @ (A_hat + B_hat @ K))))))
+    augmented = AugmentedRiccati(P_hat, residuals)
 
-    return CompiledGameVi(game, riccati, augmented, theta, gammas, M_ol, qmap,
+    return CompiledGameVi(game, riccati, augmented, theta, gamma, M_ol, qmap,
                           D, d0, Dmap, splitting)
 
 
@@ -624,13 +604,12 @@ def best_response(compiled, x0, agent, others, tol=1e-8):
     P11 = P_hat[:n, :n]
     P12 = P_hat[:n, n:]
 
-    # predicted states for stages 1..T with agent i's block zeroed / frozen
-    base = compiled.theta @ x0
-    for j in range(game.N):
-        if j != i:
-            base += compiled.gammas[j] @ others[game.agent_slice(j)]
-    x_all = base + gamma_i @ others[sl]          # profile prediction
-    x_term_profile = x_all[(T - 1) * n:]
+    # terminal state under the profile; states for stages 1..T with agent i's
+    # block zeroed
+    x_term_profile = compiled.predict(x0, others)[(T - 1) * n:]
+    frozen = others.copy()
+    frozen[sl] = 0.0
+    base = compiled.predict(x0, frozen)
 
     stage_blocks = [game.Q[i]] * (T - 1) + [P11]
     W = blkdg(stage_blocks)
@@ -640,8 +619,7 @@ def best_response(compiled, x0, agent, others, tol=1e-8):
     lift[(T - 1) * n:] = P12 @ x_term_profile
     c_qp = gamma_i.T @ (W @ base + lift)
 
-    b = -(compiled.offsets_at(x0) + compiled.D @ others
-          - compiled.D[:, sl] @ others[sl])
+    b = -(compiled.offsets_at(x0) + compiled.D @ frozen)
     engine = qp.QpEngine(P_qp, compiled.D[:, sl])
     sol = engine.solve(c_qp, b=b, tol=tol)
     return sol.y
@@ -690,6 +668,7 @@ def write_game(game, path):
 def read_game(path):
     with open(path) as fh:
         payload = json.load(fh)
+    require_fields(payload, ("A", "B", "Q", "R", "T"), path)
     meta = payload.get("meta")
     if "Eu" in payload:
         return LqGame(payload["A"], payload["B"], payload["Q"], payload["R"],

@@ -17,7 +17,7 @@ import numpy as np
 from . import solvers
 from .avi import Polyhedron, natural_residual, project
 from .errors import Infeasible
-from .game import in_terminal_set, rollout, unconstrained_ne_sequence
+from .game import in_terminal_set, unconstrained_ne_sequence
 
 __all__ = ["ClosedLoopTrace", "shift_warm_start", "rhc_step", "simulate",
            "write_trace_json", "read_trace_json", "write_iterations_csv"]
@@ -56,7 +56,7 @@ def shift_warm_start(prev, compiled, prev_x):
     terminal state predicted from prev_x under prev."""
     game = compiled.game
     prev = np.asarray(prev, dtype=float).ravel()
-    x_T = rollout(game, prev_x, prev)[-1]
+    x_T = compiled.predict(prev_x, prev)[-game.n:]
     out = np.empty_like(prev)
     for i in range(game.N):
         sl = game.agent_slice(i)
@@ -69,9 +69,9 @@ def shift_warm_start(prev, compiled, prev_x):
 def _step_margins(game, x, u0, x_next):
     """Realized margins of the stage constraints at (x, u[0]) and of the
     state constraints at the successor state."""
+    offs = game.offsets
     mixed = -(game.Ex @ x + sum(
-        game.Eu[i] @ u0[sum(game.m[:i]):sum(game.m[:i + 1])]
-        for i in range(game.N)) + game.e)
+        game.Eu[i] @ u0[offs[i]:offs[i + 1]] for i in range(game.N)) + game.e)
     state = -(game.Dx @ x_next + game.dx)
     return np.concatenate([mixed, state])
 
@@ -127,19 +127,20 @@ def _initial_warm_start(compiled, x0, workspace):
 def simulate(compiled, x0, steps, cfg=None, terminal_shortcut=True):
     """Closed-loop simulation for the given number of steps.
 
-    States propagate through the plant recursion exactly (same arithmetic
-    as game.rollout), so a recorded trace replays bit-identically. Raises
-    Infeasible annotated with the failing step index.
+    States propagate through the plant recursion x+ = A x + sum_i B_i u_i[0]
+    one agent at a time (not through the condensed predictor), so a recorded
+    trace replays bit-identically. Raises Infeasible annotated with the
+    failing step index.
     """
     cfg = cfg or solvers.SolverConfig()
     game = compiled.game
     x = np.asarray(x0, dtype=float).ravel().copy()
     workspace = _workspace(compiled)
     states = np.zeros((steps + 1, game.n))
-    inputs = np.zeros((steps, sum(game.m)))
+    offs = game.offsets
+    inputs = np.zeros((steps, offs[-1]))
     iterations, residuals, margins, statuses = [], [], [], []
     states[0] = x
-    offs = np.concatenate([[0], np.cumsum(game.m)])
     try:
         warm = _initial_warm_start(compiled, x, workspace)
     except Infeasible as exc:

@@ -135,6 +135,36 @@ def test_solve_non_finite_problem_error_json(tmp_path):
     assert json.loads(out.read_text())["error"]["type"] == "NonFiniteData"
 
 
+def short_matrix_problem(tmp_path, n=2, M=(1.0, 0.0, 1.0)):
+    """An AVI file with n variables whose M holds the given entries (by
+    default 3 entries for n = 2)."""
+    path = tmp_path / f"short{n}.json"
+    path.write_text(json.dumps({
+        "n": n, "m": 0, "M": list(M), "q": [0.0, 0.0], "D": [], "d": []}))
+    return str(path)
+
+
+def test_solve_shape_mismatch_error_json(tmp_path):
+    out = tmp_path / "err.json"
+    rc = cli.main(["solve", "--problem", short_matrix_problem(tmp_path),
+                   "--out", str(out)])
+    assert rc == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "DimensionMismatch"
+    assert "M has 3 entries" in error["message"]
+
+
+def test_bench_size_arguments_are_usage_errors(tmp_path, capsys):
+    for flag, value in (("--n", "0"), ("--m", "-1"), ("--instances", "-1"),
+                        ("--instances", "0")):
+        rc = cli.main(["bench", flag, value, "--algos", "dr",
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(flag)
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------ crossroad
 
 def test_crossroad_run_outputs(tmp_path):
@@ -194,6 +224,16 @@ def test_crossroad_vehicle_count_bounds():
     assert cli.main(["crossroad", "--vehicles", "99", "--steps", "1"]) == 2
 
 
+def test_crossroad_size_arguments_are_usage_errors(tmp_path, capsys):
+    for flag, value in (("--horizon", "0"), ("--steps", "-1"), ("--steps", "0")):
+        rc = cli.main(["crossroad", "--vehicles", "1", flag, value,
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(flag)
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------- validate
 
 def test_validate_problem_ok(capsys):
@@ -248,6 +288,40 @@ def test_validate_non_finite_game_error_json(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert not payload["ok"]
         assert payload["error"]["type"] == "NonFiniteData"
+
+
+def test_validate_game_shape_mismatch_error_json(tmp_path, capsys):
+    path = tmp_path / "wide_r.json"
+    path.write_text(json.dumps({
+        "A": [[0.5]], "B": [[[1.0]]], "Q": [[[1.0]]], "R": [[[1.0, 0.0]]],
+        "T": 2}))
+    rc = cli.main(["validate", "--game", str(path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert not payload["ok"]
+    assert payload["error"]["type"] == "DimensionMismatch"
+
+
+def test_validate_game_missing_field_error_json(tmp_path, capsys):
+    path = tmp_path / "no_horizon.json"
+    path.write_text(json.dumps({
+        "A": [[0.5]], "B": [[[1.0]]], "Q": [[[1.0]]], "R": [[[1.0]]]}))
+    rc = cli.main(["validate", "--game", str(path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert not payload["ok"]
+    assert payload["error"]["type"] == "SpecError"
+    assert payload["error"]["message"].endswith("missing required field(s) T")
+
+
+def test_validate_problem_shape_mismatch_error_json(tmp_path, capsys):
+    for path in (short_matrix_problem(tmp_path),
+                 short_matrix_problem(tmp_path, n=-1, M=[1.0])):
+        rc = cli.main(["validate", "--problem", path])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert not payload["ok"]
+        assert payload["error"]["type"] == "DimensionMismatch"
 
 
 def test_validate_non_finite_problem_error_json(tmp_path, capsys):

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from gamevi import game as G
 from gamevi.avi import monotonicity_constants, natural_residual
-from gamevi.blockmat import blkdg, blkmat, kron
+from gamevi.blockmat import blkdg, blkmat, build_gamma, kron
 from gamevi.errors import InvalidSplitting, NoConvergence, NonFiniteData, SingularA
 from gamevi.solvers import SolverConfig, dr_solve, make_dr_splitting
 
@@ -290,6 +290,24 @@ def test_constraint_stacking_matches_stagewise_oracle(small_game2):
         u = rng.normal(size=g.input_dim) * 2.0
         stacked = bool(np.max(c.D @ u + c.offsets_at(x0)) <= 1e-9)
         assert stacked == stagewise_feasible(g, x0, u)
+
+
+@pytest.mark.parametrize("fixture", ["small_game2", "crossroad4"])
+def test_predict_and_first_stage_match_per_agent_oracle(fixture, request):
+    """The condensed predictor theta x0 + gamma u reproduces the explicit
+    rollout, and first_stage picks u_i[0] out of each agent's block."""
+    g, c = request.getfixturevalue(fixture)[-2:]
+    rng = np.random.default_rng(9)
+    for i in range(g.N):
+        assert np.array_equal(c.gammas[i], build_gamma(g.A, g.B[i], g.T))
+    for _ in range(5):
+        x0 = rng.normal(size=g.n)
+        u = rng.normal(size=g.input_dim)
+        xs = simulate_states(g.A, g.B, x0, g.split_input(u))
+        got = c.predict(x0, u)
+        assert np.max(np.abs(got - xs[1:].ravel())) <= 1e-12 * (1 + np.max(np.abs(xs)))
+        want = np.concatenate([u[g.agent_slice(i)][:g.m[i]] for i in range(g.N)])
+        assert np.array_equal(c.first_stage(u), want)
 
 
 def test_gradient_identity_on_feasible_points(small_game2):
