@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import qp
-from .errors import DimensionMismatch, NonFiniteData, require_fields
+from .errors import DimensionMismatch, NonFiniteData, spec_file
 
 __all__ = [
     "Polyhedron", "AviProblem", "MonotonicityConstants", "AviDiagnosis",
@@ -197,15 +197,13 @@ def _matrix(payload, name, shape):
 
 
 def read_avi(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    require_fields(payload, ("n", "m", "M", "q", "D", "d"), path)
-    n = int(payload["n"])
-    m = int(payload["m"])
-    if n < 1 or m < 0:
-        raise DimensionMismatch(f"need n >= 1 and m >= 0, got n = {n}, m = {m}")
-    M = _matrix(payload, "M", (n, n))
-    q = np.array(payload["q"], dtype=float)
-    D = _matrix(payload, "D", (m, n))
-    d = np.array(payload["d"], dtype=float)
-    return AviProblem(M, q, Polyhedron(D, d))
+    with spec_file(path, ("n", "m", "M", "q", "D", "d")) as payload:
+        n = int(payload["n"])
+        m = int(payload["m"])
+        if n < 1 or m < 0:
+            raise DimensionMismatch(f"need n >= 1 and m >= 0, got n = {n}, m = {m}")
+        M = _matrix(payload, "M", (n, n))
+        q = np.array(payload["q"], dtype=float)
+        D = _matrix(payload, "D", (m, n))
+        d = np.array(payload["d"], dtype=float)
+        return AviProblem(M, q, Polyhedron(D, d))

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import avi, game, rhc, scenario, solvers
-from .errors import GameViError, Infeasible
+from .errors import GameViError, Infeasible, InvalidConfig
 
 __all__ = ["main"]
 
@@ -44,7 +44,13 @@ def _write_json(payload, path=None):
 
 
 def _solver_config(args):
-    return solvers.SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    """SolverConfig from --tol and --max-iter, or None after printing the
+    usage message of an invalid one."""
+    try:
+        return solvers.SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    except InvalidConfig as exc:
+        print(f"--tol/--max-iter: {exc}", file=sys.stderr)
+        return None
 
 
 def _below_minimum(args, **minimums):
@@ -59,7 +65,8 @@ def _below_minimum(args, **minimums):
 
 
 def cmd_bench(args):
-    if _below_minimum(args, instances=1, n=1, m=0):
+    cfg = _solver_config(args)
+    if cfg is None or _below_minimum(args, instances=1, n=1, m=0):
         return 2
     algos = args.algos.split(",")
     for a in algos:
@@ -68,7 +75,6 @@ def cmd_bench(args):
                   file=sys.stderr)
             return 2
     os.makedirs(args.out_dir, exist_ok=True)
-    cfg = _solver_config(args)
     rows = []
     runs = []
     any_failure = False
@@ -125,6 +131,8 @@ def cmd_solve(args):
         print(f"problem file not found: {args.problem}", file=sys.stderr)
         return 2
     cfg = _solver_config(args)
+    if cfg is None:
+        return 2
     try:
         problem = avi.read_avi(args.problem)
         report = solvers.solve(problem, args.algo, cfg)
@@ -147,20 +155,20 @@ def cmd_solve(args):
 
 
 def cmd_crossroad(args):
-    if _below_minimum(args, steps=1, horizon=1):
+    cfg = _solver_config(args)
+    if cfg is None or _below_minimum(args, steps=1, horizon=1):
         return 2
-    os.makedirs(args.out_dir, exist_ok=True)
     spec = scenario.default_15_vehicle_spec()
     if args.vehicles != spec.n_vehicles:
         if not (1 <= args.vehicles <= spec.n_vehicles):
             print(f"--vehicles must be in 1..{spec.n_vehicles}", file=sys.stderr)
             return 2
         spec = spec.prefix(args.vehicles)
+    os.makedirs(args.out_dir, exist_ok=True)
     g = scenario.build_crossroad(spec, horizon=args.horizon)
     compiled = game.compile_vi(g)
     x0 = (np.zeros(g.n) if args.x0 == "zero"
           else scenario.default_initial_state(spec))
-    cfg = _solver_config(args)
     try:
         trace = rhc.simulate(compiled, x0, args.steps, cfg,
                              terminal_shortcut=not args.no_terminal_shortcut)

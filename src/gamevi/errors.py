@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the required-field check
-the JSON file readers share."""
+"""Exception types shared across the package, and the JSON file boundary
+the data-file readers share."""
+
+import contextlib
+import json
 
 
 class GameViError(Exception):
@@ -60,9 +63,21 @@ class SpecError(GameViError, ValueError):
     """A scenario specification or data file is inconsistent or incomplete."""
 
 
-def require_fields(payload, names, path):
-    """Raise SpecError naming the fields of ``names`` missing from the
-    JSON object ``payload`` read from ``path``."""
-    missing = [name for name in names if name not in payload]
-    if missing:
-        raise SpecError(f"{path}: missing required field(s) {', '.join(missing)}")
+@contextlib.contextmanager
+def spec_file(path, names):
+    """Yield the JSON object read from ``path`` once it has the fields
+    ``names``. An unparsable file, a missing field, and a TypeError or
+    ValueError raised while the body converts the values (a string where a
+    number belongs, a ragged matrix) raise SpecError naming the file; the
+    package's own errors pass through."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        missing = [name for name in names if name not in payload]
+        if missing:
+            raise SpecError(f"{path}: missing required field(s) {', '.join(missing)}")
+        yield payload
+    except GameViError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{path}: {exc}") from exc

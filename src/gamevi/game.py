@@ -34,7 +34,7 @@ from . import qp
 from .avi import AviProblem, Polyhedron
 from .blockmat import blkdg, build_gamma, build_theta, kron
 from .errors import (DimensionMismatch, NoConvergence, NonFiniteData, SingularA,
-                     require_fields)
+                     spec_file)
 from .solvers import make_dr_splitting
 
 __all__ = [
@@ -666,16 +666,14 @@ def write_game(game, path):
 
 
 def read_game(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    require_fields(payload, ("A", "B", "Q", "R", "T"), path)
-    meta = payload.get("meta")
-    if "Eu" in payload:
-        return LqGame(payload["A"], payload["B"], payload["Q"], payload["R"],
-                      payload["T"], Ex=payload.get("Ex"), Eu=payload["Eu"],
-                      e=payload.get("e"), Dx=payload.get("Dx"),
-                      dx=payload.get("dx"), meta=meta)
-    return LqGame.from_stage_constraints(
-        payload["A"], payload["B"], payload["Q"], payload["R"], payload["T"],
-        Du=payload.get("Du"), du=payload.get("du"), Dx=payload.get("Dx"),
-        dx=payload.get("dx"), K_pre=payload.get("K_pre"), meta=meta)
+    with spec_file(path, ("A", "B", "Q", "R", "T")) as payload:
+        meta = payload.get("meta")
+        if "Eu" in payload:
+            return LqGame(payload["A"], payload["B"], payload["Q"], payload["R"],
+                          payload["T"], Ex=payload.get("Ex"), Eu=payload["Eu"],
+                          e=payload.get("e"), Dx=payload.get("Dx"),
+                          dx=payload.get("dx"), meta=meta)
+        return LqGame.from_stage_constraints(
+            payload["A"], payload["B"], payload["Q"], payload["R"], payload["T"],
+            Du=payload.get("Du"), du=payload.get("du"), Dx=payload.get("Dx"),
+            dx=payload.get("dx"), K_pre=payload.get("K_pre"), meta=meta)

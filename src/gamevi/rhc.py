@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import solvers
-from .avi import Polyhedron, natural_residual, project
+from .avi import natural_residual, project
 from .errors import Infeasible
 from .game import in_terminal_set, unconstrained_ne_sequence
 
@@ -46,8 +46,7 @@ class ClosedLoopTrace:
 
 def _workspace(compiled):
     """DR factorizations shared by every step of one closed-loop run."""
-    return solvers.DrWorkspace(compiled.M_ol, compiled.splitting,
-                               Polyhedron(compiled.D, compiled.d0))
+    return solvers.DrWorkspace(compiled.splitting, compiled.D)
 
 
 def shift_warm_start(prev, compiled, prev_x):

@@ -172,8 +172,8 @@ def test_criterion_6_closed_form_inside_terminal_set(crossroad4):
     worst = 0.0
     for x in _sample_terminal_states(c, 20, seed=31):
         p = c.avi_at(x)
-        rep = dr_solve(p, c.splitting, SolverConfig(tol=1e-9, max_iter=3000,
-                                                    qp_tol=1e-11))
+        rep = dr_solve(p, SolverConfig(tol=1e-9, max_iter=3000,
+                                       qp_tol=1e-11))
         assert rep.converged
         u_k = G.unconstrained_ne_sequence(c, x)
         err = float(np.max(np.abs(rep.solution - u_k)))
@@ -196,8 +196,8 @@ def test_criterion_7_best_response_necessary_condition(crossroad4):
     for k, scale in enumerate((1.0, 0.75, 0.5, 0.25, 0.1)):
         x0 = scale * base + 0.2 * rng.normal(size=g.n)
         p = c.avi_at(x0)
-        rep = dr_solve(p, c.splitting, SolverConfig(tol=1e-9, max_iter=3000,
-                                                    qp_tol=1e-11))
+        rep = dr_solve(p, SolverConfig(tol=1e-9, max_iter=3000,
+                                       qp_tol=1e-11))
         assert rep.converged
         for i in range(g.N):
             br = G.best_response(c, x0, i, rep.solution, tol=1e-10)

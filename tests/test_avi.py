@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from gamevi.avi import (AviProblem, Polyhedron, monotonicity_constants,
                         natural_residual, project, read_avi, validate,
                         write_avi)
-from gamevi.errors import GameViError, Infeasible, NonFiniteData
+from gamevi.errors import GameViError, Infeasible, NonFiniteData, SpecError
 
 from oracles import kkt_enumerate, project_enumerate
 
@@ -185,3 +187,22 @@ def test_json_round_trip_bit_faithful(tmp_path):
     assert np.array_equal(p2.q, p.q)
     assert np.array_equal(p2.C.D, p.C.D)
     assert np.array_equal(p2.C.d, p.C.d)
+
+
+GOOD_AVI = {"n": 2, "m": 1, "M": [2.0, 0.0, 0.0, 1.0], "q": [0.0, 1.0],
+            "D": [1.0, 1.0], "d": [-1.0]}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(dict(GOOD_AVI, n="x")),              # wrong JSON type
+    json.dumps(dict(GOOD_AVI, n=None)),
+    json.dumps(dict(GOOD_AVI, M=[[2.0, 0.0], [1.0]])),  # ragged matrix
+    json.dumps(dict(GOOD_AVI, q="abc")),
+    json.dumps(GOOD_AVI)[:-5],                      # truncated file
+    "[1, 2]",                                       # not an object
+], ids=["n-string", "n-null", "ragged-M", "q-string", "truncated", "list"])
+def test_read_avi_malformed_file_raises_spec_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SpecError, match="bad.json"):
+        read_avi(path)

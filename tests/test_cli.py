@@ -165,6 +165,27 @@ def test_bench_size_arguments_are_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_bench_solver_arguments_are_usage_errors(tmp_path, capsys):
+    for flag, value in (("--tol", "-1"), ("--tol", "0"), ("--max-iter", "0")):
+        rc = cli.main(["bench", flag, value, "--algos", "dr",
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("--tol/--max-iter")
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_solver_arguments_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "sol.json"
+    for flag, value in (("--tol", "0"), ("--tol", "inf"), ("--tol", "nan"),
+                        ("--max-iter", "0")):
+        rc = cli.main(["solve", "--problem", SAMPLE, flag, value,
+                       "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("--tol/--max-iter")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ crossroad
 
 def test_crossroad_run_outputs(tmp_path):
@@ -231,6 +252,19 @@ def test_crossroad_size_arguments_are_usage_errors(tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(flag)
+    assert not (tmp_path / "out").exists()
+
+
+def test_crossroad_solver_arguments_are_usage_errors(tmp_path, capsys):
+    for flag, value in (("--tol", "0"), ("--max-iter", "0")):
+        rc = cli.main(["crossroad", "--vehicles", "1", "--steps", "1", flag,
+                       value, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("--tol/--max-iter")
+    rc = cli.main(["crossroad", "--vehicles", "0", "--steps", "1",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
     assert not (tmp_path / "out").exists()
 
 
@@ -312,6 +346,22 @@ def test_validate_game_missing_field_error_json(tmp_path, capsys):
     assert not payload["ok"]
     assert payload["error"]["type"] == "SpecError"
     assert payload["error"]["message"].endswith("missing required field(s) T")
+
+
+def test_validate_malformed_files_error_json(tmp_path, capsys):
+    game_file = tmp_path / "string_horizon.json"
+    game_file.write_text(json.dumps({
+        "A": [[0.5]], "B": [[[1.0]]], "Q": [[[1.0]]], "R": [[[1.0]]],
+        "T": "x"}))
+    problem_file = tmp_path / "truncated.json"
+    problem_file.write_text(open(SAMPLE).read()[:-5])
+    for flag, path in (("--game", game_file), ("--problem", problem_file)):
+        rc = cli.main(["validate", flag, str(path)])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert not payload["ok"]
+        assert payload["error"]["type"] == "SpecError"
+        assert payload["error"]["message"].startswith(str(path))
 
 
 def test_validate_problem_shape_mismatch_error_json(tmp_path, capsys):

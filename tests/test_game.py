@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -7,7 +8,8 @@ import scipy.linalg
 from gamevi import game as G
 from gamevi.avi import monotonicity_constants, natural_residual
 from gamevi.blockmat import blkdg, blkmat, build_gamma, kron
-from gamevi.errors import InvalidSplitting, NoConvergence, NonFiniteData, SingularA
+from gamevi.errors import (InvalidSplitting, NoConvergence, NonFiniteData,
+                           SingularA, SpecError)
 from gamevi.solvers import SolverConfig, dr_solve, make_dr_splitting
 
 from oracles import finite_diff_gradient, simulate_states, stagewise_feasible
@@ -439,8 +441,7 @@ def test_best_response_fixed_point_at_vi_solution(small_game2):
     rng = np.random.default_rng(10)
     x0 = rng.normal(size=g.n)
     p = c.avi_at(x0)
-    rep = dr_solve(p, c.splitting, SolverConfig(tol=1e-9, max_iter=2000,
-                                                qp_tol=1e-11))
+    rep = dr_solve(p, SolverConfig(tol=1e-9, max_iter=2000, qp_tol=1e-11))
     assert rep.converged
     for i in range(g.N):
         br = G.best_response(c, x0, i, rep.solution, tol=1e-10)
@@ -516,3 +517,23 @@ def test_game_json_round_trip_with_prestabilizer(tmp_path):
     assert np.array_equal(g2.A, g.A)
     assert np.array_equal(g2.Ex, g.Ex)
     assert np.array_equal(g2.e, g.e)
+
+
+GOOD_GAME = {"A": [[0.5, 1.0], [0.0, 1.0]], "B": [[[0.0], [1.0]]],
+             "Q": [[[1.0, 0.0], [0.0, 1.0]]], "R": [[[1.0]]], "T": 2}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(dict(GOOD_GAME, T="x")),             # wrong JSON type
+    json.dumps(dict(GOOD_GAME, T=None)),
+    json.dumps(dict(GOOD_GAME, A=[[0.5, 1.0], [1.0]])),  # ragged matrix
+    json.dumps(dict(GOOD_GAME, B=3)),
+    json.dumps(GOOD_GAME)[:-5],                     # truncated file
+    "[1, 2]",                                       # not an object
+], ids=["T-string", "T-null", "ragged-A", "B-number", "truncated", "list"])
+def test_read_game_malformed_file_raises_spec_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SpecError, match="bad.json"):
+        G.read_game(path)
+

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from gamevi.avi import AviProblem, Polyhedron, monotonicity_constants, natural_residual
-from gamevi.errors import InvalidConfig, InvalidSplitting, NotStronglyMonotone
+from gamevi import qp
+from gamevi.errors import (InvalidConfig, InvalidSplitting, NonFiniteData,
+                           NotStronglyMonotone)
 from gamevi.scenario import random_avi
-from gamevi.solvers import (ALGORITHMS, SolverConfig, Splitting, agraal_solve,
-                            dr_solve, exgd_solve, make_dr_splitting,
-                            nagd_solve, pgd_solve, prgd_solve, solve,
-                            write_residual_csv)
+from gamevi.solvers import (ALGORITHMS, DrWorkspace, SolverConfig,
+                            agraal_solve, dr_solve, exgd_solve,
+                            make_dr_splitting, nagd_solve, pgd_solve,
+                            prgd_solve, solve, write_residual_csv)
 
 from oracles import kkt_enumerate, loglinear_fit
 
@@ -52,19 +54,6 @@ def test_splitting_identities():
         assert np.max(np.abs(skew + skew.T)) <= 1e-12
 
 
-def test_splitting_validate_rejects_wrong_sum():
-    M = np.eye(2)
-    s = Splitting(np.eye(2), np.eye(2))
-    with pytest.raises(InvalidSplitting):
-        s.validate(M)
-
-
-def test_splitting_validate_rejects_indefinite_m2():
-    s = Splitting(np.eye(2), -np.eye(2))
-    with pytest.raises(InvalidSplitting):
-        s.validate()
-
-
 # ----------------------------------------------------------------------- DR
 
 def test_dr_hand_rolled_first_iterations():
@@ -104,26 +93,13 @@ def test_dr_iteration_counts_step_a_solves():
     assert rep.status == "iter_limit"
 
 
-def test_dr_rejects_bad_relaxation():
-    p = scalar_problem()
-    with pytest.raises(InvalidConfig):
-        dr_solve(p, cfg=SolverConfig(relaxation=1.5))
-    with pytest.raises(InvalidConfig):
-        dr_solve(p, cfg=SolverConfig(relaxation=0.0))
-
-
-def test_dr_relaxation_values_converge():
-    p = scalar_problem()
-    for relaxation in (0.3, 0.5, 1.0):
-        rep = dr_solve(p, cfg=SolverConfig(tol=1e-9, relaxation=relaxation))
-        assert rep.converged
-
-
 def test_dr_validates_splitting_against_problem():
-    p = scalar_problem()
-    bad = Splitting(np.array([[0.6]]), np.array([[0.6]]))
-    with pytest.raises(InvalidSplitting):
-        dr_solve(p, s=bad)
+    """dr_solve splits the problem's own M; a skew M has no valid splitting."""
+    skew = AviProblem([[0.0, 1.0], [-1.0, 0.0]], np.zeros(2),
+                      Polyhedron.unconstrained(2))
+    with pytest.raises(InvalidSplitting) as err:
+        dr_solve(skew)
+    assert err.value.mu is not None and err.value.mu <= 0
 
 
 def test_dr_fixed_point_property_constrained():
@@ -316,50 +292,97 @@ def test_solve_dispatcher_rejects_unknown():
         solve(scalar_problem(), "newton")
 
 
+@pytest.mark.parametrize("qp_tol", [0.0, -1.0, np.nan, np.inf])
+def test_config_rejects_non_positive_qp_tol(qp_tol):
+    # a negative qp_tol used to be accepted: every inner QP then missed its
+    # tolerance while the run still reported converged
+    with pytest.raises(InvalidConfig):
+        SolverConfig(qp_tol=qp_tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_config_rejects_non_positive_or_non_finite_tol(tol):
+    # tol = inf used to report converged at any residual, and tol = nan ran
+    # to the iteration limit
+    with pytest.raises(InvalidConfig):
+        SolverConfig(tol=tol)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_warm_start_rejected(algorithm, bad):
+    p = random_avi(10, 4, seed=1)
+    warm = np.zeros(p.dim)
+    warm[3] = bad
+    with pytest.raises(NonFiniteData):
+        solve(p, algorithm, SolverConfig(max_iter=5), warm=warm)
+
+
+# inner QP solves per run of k iterations: each iterate costs one residual
+# projection plus the algorithm's own solves; NAGD's lookahead projection
+# after its last iterate is never made
+QP_CALLS = {"dr": lambda k: 2 * k, "pgd": lambda k: 2 * k,
+            "exgd": lambda k: 3 * k, "nagd": lambda k: 3 * k - 1,
+            "prgd": lambda k: 2 * k, "agraal": lambda k: 2 * k}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_iteration_limit_pulls_no_extra_iterate(algorithm, monkeypatch):
+    assert set(QP_CALLS) == set(ALGORITHMS)
+    calls = []
+    solve_qp = qp.QpEngine.solve
+
+    def counted(engine, *args, **kwargs):
+        calls.append(engine)
+        return solve_qp(engine, *args, **kwargs)
+
+    monkeypatch.setattr(qp.QpEngine, "solve", counted)
+    p = random_avi(10, 4, seed=1)
+    for k in (1, 2, 7):
+        calls.clear()
+        rep = solve(p, algorithm, SolverConfig(tol=1e-300, max_iter=k))
+        assert rep.status == "iter_limit" and rep.iterations == k
+        assert len(calls) == QP_CALLS[algorithm](k)
+
+
 def test_dr_workspace_reuse_across_offsets():
     """One workspace serves a family of problems sharing (M, D): changing q
     and d must give the same solutions as fresh solves."""
-    from gamevi.solvers import DrWorkspace
     rng = np.random.default_rng(30)
     base = random_avi(8, 4, 30)
-    s = make_dr_splitting(base.M)
-    ws = DrWorkspace(base.M, s, base.C)
+    ws = DrWorkspace(make_dr_splitting(base.M), base.C.D)
     cfg = SolverConfig(tol=1e-8, max_iter=2000)
     for _ in range(4):
         p = AviProblem(base.M, rng.normal(size=8),
                        Polyhedron(base.C.D, base.C.d + rng.uniform(-0.05, 0.3, 4)))
-        shared = dr_solve(p, s, cfg, workspace=ws)
-        fresh = dr_solve(p, s, cfg)
+        shared = dr_solve(p, cfg, workspace=ws)
+        fresh = dr_solve(p, cfg)
         assert shared.converged and fresh.converged
         assert np.max(np.abs(shared.solution - fresh.solution)) <= 1e-7
 
 
 def test_dr_workspace_shape_mismatch_rejected():
-    from gamevi.solvers import DrWorkspace
     base = random_avi(8, 4, 31)
-    ws = DrWorkspace(base.M, make_dr_splitting(base.M), base.C)
+    ws = DrWorkspace(make_dr_splitting(base.M), base.C.D)
     other = random_avi(6, 4, 31)
     with pytest.raises(InvalidConfig):
-        dr_solve(other, None, SolverConfig(), workspace=ws)
+        dr_solve(other, SolverConfig(), workspace=ws)
 
 
 def test_dr_workspace_carries_its_splitting():
-    """Step (b) uses the workspace's M2: a solve through a workspace built
-    from another valid splitting matches a fresh solve with that splitting,
-    and passing a splitting the workspace was not built from is rejected
-    (mixing the two stalls at residual ~0.2)."""
-    from gamevi.solvers import DrWorkspace
+    """A workspace holds the splitting it was built from, and a solve
+    through it is bit-identical to a fresh solve, which builds the same
+    splitting from p.M."""
     p = random_avi(30, 8, seed=5)
     s = make_dr_splitting(p.M)
-    shift = 0.4 * monotonicity_constants(p.M).mu * np.eye(p.dim)
-    s2 = Splitting(s.M1 + shift, s.M2 - shift)
+    ws = DrWorkspace(s, p.C.D)
+    assert ws.splitting is s
     cfg = SolverConfig(tol=1e-6, max_iter=3000)
-    fresh = dr_solve(p, s2, cfg)
-    shared = dr_solve(p, cfg=cfg, workspace=DrWorkspace(p.M, s2, p.C))
+    fresh = dr_solve(p, cfg)
+    shared = dr_solve(p, cfg, workspace=ws)
     assert fresh.converged and shared.converged
     assert np.array_equal(shared.solution, fresh.solution)
-    with pytest.raises(InvalidConfig):
-        dr_solve(p, s2, cfg, workspace=DrWorkspace(p.M, s, p.C))
+    assert shared.residuals == fresh.residuals
 
 
 def test_solvers_handle_unconstrained_instances():
