@@ -9,8 +9,10 @@ Subcommands:
   validate   diagnostics for an AVI problem file or a game file
 
 Exit codes: 0 success, 1 runtime failure (machine-readable error JSON is
-still written), 2 usage error. All outputs are deterministic functions of
-the flags and seed, except wall-clock columns/fields.
+still written; this includes a run whose inner QP solves missed their KKT
+tolerance, status ``inner_inexact``), 2 usage error. All outputs are
+deterministic functions of the flags and seed, except wall-clock
+columns/fields.
 """
 
 import argparse
@@ -26,6 +28,8 @@ from . import avi, game, rhc, scenario, solvers
 from .errors import GameViError, Infeasible, InvalidConfig
 
 __all__ = ["main"]
+
+_INEXACT_MESSAGE = "an inner QP solve missed its KKT tolerance"
 
 
 def _error_payload(exc, **extra):
@@ -91,9 +95,11 @@ def cmd_bench(args):
                 runs.append(entry)
                 continue
             rows.append((algo, instance_id, report))
+            any_failure |= report.status == solvers.INNER_INEXACT
             entry.update(
                 iterations=report.iterations,
                 converged=report.converged,
+                status=report.status,
                 final_residual=float(report.final_residual),
                 wall_time_s=report.wall_time,
             )
@@ -145,10 +151,12 @@ def cmd_solve(args):
         "residual": float(report.final_residual),
         "iterations": report.iterations,
         "status": report.status,
+        "qp_not_optimal": report.qp_not_optimal,
     }
     if not report.converged:
-        _write_json(_error_payload(GameViError("iteration limit reached"),
-                                   **payload), args.out)
+        message = ("iteration limit reached" if report.status == solvers.ITER_LIMIT
+                   else _INEXACT_MESSAGE)
+        _write_json(_error_payload(GameViError(message), **payload), args.out)
         return 1
     _write_json(payload, args.out)
     return 0
@@ -188,6 +196,12 @@ def cmd_crossroad(args):
                 dist = "" if np.isnan(distance[t, i]) else repr(float(distance[t, i]))
                 fh.write(f"{t},{i},{dist},{float(velocity[t, i])!r},"
                          f"{float(spec.d_des[i])!r},{float(spec.v_ref)!r}\n")
+    inexact = [t for t, s in enumerate(trace.statuses) if s == solvers.INNER_INEXACT]
+    if inexact:
+        _write_json(_error_payload(GameViError(_INEXACT_MESSAGE), steps=inexact),
+                    os.path.join(args.out_dir, "error.json"))
+        print(f"{_INEXACT_MESSAGE} at {len(inexact)} step(s)", file=sys.stderr)
+        return 1
     return 0
 
 

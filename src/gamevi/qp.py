@@ -1,16 +1,22 @@
 """Convex QP subsolver over polyhedra.
 
 Minimizes ``0.5 y' P y + c' y`` over ``{y : D y + d <= 0}`` with P symmetric
-positive definite. The engine first tries direct active-set guesses (a
-Schur-complement solve through the cached Cholesky factor of P): the
+positive definite. The engine first tries direct active-set guesses: the
 caller's warm duals, then the rows violated by the unconstrained minimizer.
-Warm duals from a previous nearby solve usually make the first guess exact,
-which is the performance lever for receding-horizon re-solves. When both
-guesses miss, the change of variables z = U (y - y_free), with P = U'U,
-turns the QP into a least-distance problem that one nonnegative
-least-squares call solves exactly (Lawson & Hanson, *Solving Least Squares
-Problems*, 1974, ch. 23). No path iterates; the contract is the KKT
-tolerance, and ``iter_limit`` means the exact solve missed it.
+A guess A is solved through the Schur complement S_A = D_A P^{-1} D_A',
+whose Cholesky factor each engine caches per active set (at most
+_FACTOR_CACHE sets, the oldest evicted first), so a guess seen before costs
+two triangular solves: the factorization reuse of online active-set methods
+(Ferreau, Bock & Diehl, IJRNC 2008). No m x m Gram matrix D P^{-1} D' is
+formed, and P = I skips every solve with P. Warm duals from a previous
+nearby solve usually make the first guess exact, which is the performance
+lever for receding-horizon re-solves. When both guesses miss, the change of
+variables z = U (y - y_free), with P = U'U, turns the QP into a
+least-distance problem that one nonnegative least-squares call solves
+exactly (Lawson & Hanson, *Solving Least Squares Problems*, 1974, ch. 23).
+No path iterates; the contract is the KKT tolerance (stationarity, the
+violation of every row and complementarity), and ``iter_limit`` means the
+exact solve missed it.
 
 Infeasibility is never inferred from round-off: it is certified by the
 slack-maximization phase (maximize s subject to D u + d + s <= 0, s <= 1).
@@ -20,9 +26,10 @@ import dataclasses
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linprog, nnls
 
-from .errors import Infeasible, GameViError
+from .errors import GameViError, Infeasible, NonFiniteData
 
 __all__ = [
     "QpProblem", "QpSolution", "QpEngine", "FeasibilityReport",
@@ -39,6 +46,14 @@ DEFAULT_TOL = 1e-8
 # least-distance residual -r[n] at or below this: the relaxed rows look
 # inconsistent, so the slack LP decides
 _LDP_EMPTY = 1e-12
+
+# active sets whose Schur-complement factor one engine keeps
+_FACTOR_CACHE = 64
+
+# a Cholesky pivot of S_A at or below this fraction of the largest
+# (cond(S_A) above about 1e10) marks S_A numerically singular, as with
+# duplicated rows; lstsq then picks the minimum-norm multipliers
+_PIVOT_RATIO = 1e-5
 
 
 @dataclasses.dataclass
@@ -110,24 +125,28 @@ def certify_feasibility(D, d, strict_tol=1e-9):
     return FeasibilityReport(s, res.x[:n].copy(), s > strict_tol, s >= -strict_tol)
 
 
-def _kkt_error(P, c, D, b, y, lam):
-    """max of stationarity, primal violation and |lam'(Dy - b)|."""
-    if D.shape[0]:
-        stat = float(np.max(np.abs(P @ y + c + D.T @ lam)))
-        viol = D @ y - b
-        prim = max(0.0, float(np.max(viol)))
-        compl_ = abs(float(lam @ viol))
-        return max(stat, prim, compl_)
-    return float(np.max(np.abs(P @ y + c)))
+def _kkt_error(stationarity, violation, complementarity):
+    """max of |stationarity|, the row violations clipped at 0 and
+    |complementarity|; inf when any term is not finite, so a NaN never
+    certifies (Python's max() would drop it)."""
+    terms = (float(np.abs(stationarity).max(initial=0.0)),
+             float(violation.max(initial=0.0)), abs(float(complementarity)))
+    return max(terms) if np.isfinite(sum(terms)) else np.inf
 
 
 class QpEngine:
     """Reusable solver for a family of QPs sharing (P, D).
 
-    The linear term c and the offsets may change between calls; the
-    Cholesky factor P = U'U, the projected Gram matrix D P^{-1} D' and the
-    least-distance matrix D U^{-1} are computed once. Warm duals are passed
-    per call, so one engine can serve several independent iterate streams.
+    The linear term c and the offsets b may change between calls. Computed
+    once: the Cholesky factor P = U'U, D P^{-1} and the least-distance
+    matrix E = D U^{-1}. When P is the identity (np.array_equal, checked
+    once) there is no factor: the free minimizer is -c, and D P^{-1} and E
+    are D itself. Per active set A the upper Cholesky factor of the Schur
+    complement S_A = D_A P^{-1} D_A' is formed on first use and cached, at
+    most _FACTOR_CACHE sets with the oldest evicted first; a numerically
+    singular S_A (duplicated rows) is cached as None and solved by lstsq.
+    No m x m Gram matrix is formed. Warm duals are passed per call, so one
+    engine can serve several independent iterate streams.
     """
 
     def __init__(self, P, D):
@@ -135,44 +154,78 @@ class QpEngine:
         self.D = np.asarray(D, dtype=float)
         self.n = self.P.shape[0]
         self.m = self.D.shape[0]
-        self._chol = scipy.linalg.cho_factor(self.P)
-        if self.m:
-            self._PinvDt = scipy.linalg.cho_solve(self._chol, self.D.T)
-            self._gram = self.D @ self._PinvDt
-            self._Et = scipy.linalg.solve_triangular(self._chol[0], self.D.T,
-                                                     trans="T")
+        if not np.all(np.isfinite(self.D)):
+            raise NonFiniteData("constraint matrix D contains NaN or infinite entries")
+        self._identity = np.array_equal(self.P, np.eye(self.n))
+        self._factors = {}
+        if self._identity:
+            self._DPinv = self.D
+            Et = self.D.T
+        else:
+            self._U = scipy.linalg.cho_factor(self.P)[0]
+            self._DPinv = np.ascontiguousarray(dpotrs(self._U, self.D.T)[0].T)
+            Et = scipy.linalg.solve_triangular(self._U, self.D.T, trans="T")
+        # -E' in C order, the layout nnls works in, so the fallback's matrix
+        # is one contiguous copy per call
+        self._minus_Et = np.ascontiguousarray(-Et)
 
-    def _try_active_set(self, c, b, y_free, active, tol):
+    def _kkt(self, c, b, y, active=None, lam_a=None):
+        """KKT residual of y with multipliers lam_a on the rows active and
+        zero elsewhere; the primal violation is taken over every row, while
+        stationarity and complementarity need only the active rows."""
+        violation = self.D @ y - b
+        stationarity = (y if self._identity else self.P @ y) + c
+        if active is None:
+            return _kkt_error(stationarity, violation, 0.0)
+        return _kkt_error(stationarity + lam_a @ self.D[active], violation,
+                          lam_a @ violation[active])
+
+    def _multipliers(self, active, rhs):
+        """Solve S_A lam = rhs through the cached factor of S_A (LAPACK
+        potrs), or by lstsq when S_A is numerically singular."""
+        key = active.tobytes()
+        try:
+            R = self._factors[key]
+        except KeyError:
+            R, info = dpotrf(self._schur(active))
+            pivots = np.diagonal(R)
+            if info or pivots.min() <= _PIVOT_RATIO * pivots.max():
+                R = None
+            if len(self._factors) >= _FACTOR_CACHE:
+                del self._factors[next(iter(self._factors))]
+            self._factors[key] = R
+        if R is None:
+            return np.linalg.lstsq(self._schur(active), rhs, rcond=None)[0]
+        return dpotrs(R, rhs)[0]
+
+    def _schur(self, active):
+        """S_A = D_A P^{-1} D_A' for the rows active."""
+        return self.D[active] @ self._DPinv[active].T
+
+    def _try_active_set(self, c, b, y_free, violation, active, tol):
         """Solve assuming the given rows are active; None unless KKT <= tol.
 
-        Uses the Schur complement D_A P^{-1} D_A' lam = D_A y_free - b_A, so
-        the only per-call dense work is one small least-squares solve and a
-        rank-|A| update of the free minimizer.
+        Uses the Schur complement S_A lam = D_A y_free - b_A, so the per-call
+        dense work is two triangular solves with the cached factor of S_A
+        and a rank-|A| update of the free minimizer.
         """
-        active = np.asarray(active, dtype=int)
         if active.size == 0:
             return None
-        S = self._gram[np.ix_(active, active)]
-        rhs = self.D[active] @ y_free - b[active]
-        lam_a, *_ = np.linalg.lstsq(S, rhs, rcond=None)
-        neg = lam_a < 0.0
-        if np.any(lam_a < -1e-9 * max(1.0, float(np.max(np.abs(lam_a))))):
+        lam_a = self._multipliers(active, violation[active])
+        if (lam_a < -1e-9 * max(1.0, float(np.abs(lam_a).max()))).any():
             # retry once without the clearly inactive rows
-            keep = ~neg
-            if not np.any(keep):
+            active = active[lam_a >= 0.0]
+            if active.size == 0:
                 return None
-            active = active[keep]
-            S = self._gram[np.ix_(active, active)]
-            rhs = self.D[active] @ y_free - b[active]
-            lam_a, *_ = np.linalg.lstsq(S, rhs, rcond=None)
+            lam_a = self._multipliers(active, violation[active])
         lam_a = np.maximum(lam_a, 0.0)
-        y = y_free - self._PinvDt[:, active] @ lam_a
+        y = y_free - lam_a @ self._DPinv[active]
+        err = self._kkt(c, b, y, active, lam_a)
+        if err > tol:
+            return None
         lam = np.zeros(self.m)
         lam[active] = lam_a
-        err = _kkt_error(self.P, c, self.D, b, y, lam)
-        if err <= tol:
-            return QpSolution(y, lam, err, OPTIMAL, 0)
-        return None
+        return QpSolution(y, lam, err, OPTIMAL, 0)
 
     def _least_distance(self, c, b, y_free, violation, tol):
         """Exact fallback: the QP as a least-distance problem, one NNLS call.
@@ -191,7 +244,7 @@ class QpEngine:
         """
         h = violation - tol
         s = max(float(np.max(h)), tol)
-        A = np.vstack([-self._Et, h / s])
+        A = np.vstack([self._minus_Et, h / s])
         e = np.zeros(self.n + 1)
         e[-1] = 1.0
         try:
@@ -209,12 +262,14 @@ class QpEngine:
         # a certified-feasible set with den this small is a numerical
         # breakdown; the KKT test below reports it
         scale = s / max(den, _LDP_EMPTY)
-        y = y_free + scipy.linalg.solve_triangular(self._chol[0], r[:-1]) * scale
+        z = r[:-1] if self._identity else scipy.linalg.solve_triangular(self._U, r[:-1])
+        y = y_free + z * scale
         lam = u * scale
-        err = _kkt_error(self.P, c, self.D, b, y, lam)
+        support = np.flatnonzero(u)
+        err = self._kkt(c, b, y, support, lam[support])
         if err <= tol:
             return QpSolution(y, lam, err, OPTIMAL, 1)
-        sol = self._try_active_set(c, b, y_free, np.flatnonzero(u > 0.0), tol)
+        sol = self._try_active_set(c, b, y_free, violation, support, tol)
         if sol is not None:
             return dataclasses.replace(sol, iterations=1)
         return QpSolution(y, lam, err, ITER_LIMIT, 1)
@@ -225,34 +280,38 @@ class QpEngine:
         Returns a QpSolution whose status is ``optimal`` (KKT residual <= tol)
         or ``iter_limit`` (the exact solve missed tol); ``iterations`` is 1
         when the least-distance fallback ran and 0 otherwise. Raises
+        NonFiniteData when c or b has a NaN or infinite entry, and
         Infeasible when the slack-maximization phase certifies an empty
         polyhedron.
         """
         c = np.asarray(c, dtype=float).ravel()
         if self.m == 0:
-            y = scipy.linalg.cho_solve(self._chol, -c)
-            err = _kkt_error(self.P, c, self.D, np.zeros(0), y, np.zeros(0))
-            return QpSolution(y, np.zeros(0), err, OPTIMAL, 0)
-        if b is None:
+            b = np.zeros(0)
+        elif b is None:
             raise ValueError("constraint offsets b are required when D has rows")
-        b = np.asarray(b, dtype=float).ravel()
+        else:
+            b = np.asarray(b, dtype=float).ravel()
+        if not (np.isfinite(c).all() and np.isfinite(b).all()):
+            raise NonFiniteData("QP data c or b contain NaN or infinite entries")
 
         # Unconstrained minimizer already feasible: exact solution, zero duals.
-        y_free = scipy.linalg.cho_solve(self._chol, -c)
+        y_free = -c if self._identity else dpotrs(self._U, -c)[0]
         violation = self.D @ y_free - b
-        if np.all(violation <= 0.0):
-            err = _kkt_error(self.P, c, self.D, b, y_free, np.zeros(self.m))
-            return QpSolution(y_free, np.zeros(self.m), err, OPTIMAL, 0)
+        if (violation <= 0.0).all():
+            err = self._kkt(c, b, y_free)
+            return QpSolution(y_free, np.zeros(self.m), err,
+                              OPTIMAL if err <= tol else ITER_LIMIT, 0)
 
         # Direct active-set guesses before the fallback: the caller's
         # previous duals, then the rows violated by the free minimizer.
         if warm_dual is not None:
-            warm_dual = np.maximum(np.asarray(warm_dual, dtype=float).ravel(), 0.0)
-            guess = np.flatnonzero(warm_dual > 1e-12)
-            sol = self._try_active_set(c, b, y_free, guess, tol)
+            warm_dual = np.asarray(warm_dual, dtype=float).ravel()
+            sol = self._try_active_set(c, b, y_free, violation,
+                                       np.flatnonzero(warm_dual > 1e-12), tol)
             if sol is not None:
                 return sol
-        sol = self._try_active_set(c, b, y_free, np.flatnonzero(violation > 0.0), tol)
+        sol = self._try_active_set(c, b, y_free, violation,
+                                   np.flatnonzero(violation > 0.0), tol)
         if sol is not None:
             return sol
         return self._least_distance(c, b, y_free, violation, tol)

@@ -17,7 +17,9 @@ baselines.
 Every solver is a generator of iterates driven by one loop, _Run.drive,
 which pulls at most cfg.max_iter iterates, records the natural residual with
 step 1 of each and stops at the first within cfg.tol, so iteration counts
-are directly comparable.
+are directly comparable. A run that meets cfg.tol reports ``converged`` only
+when every inner QP solve (DR step (a), projections, residuals) met
+cfg.qp_tol, and ``inner_inexact`` otherwise.
 """
 
 import csv
@@ -37,11 +39,13 @@ __all__ = [
     "Splitting", "SolverConfig", "SolverReport", "DrWorkspace",
     "make_dr_splitting", "dr_solve", "pgd_solve", "exgd_solve", "nagd_solve",
     "prgd_solve", "agraal_solve", "solve", "write_residual_csv",
-    "ALGORITHMS", "CONVERGED", "ITER_LIMIT",
+    "ALGORITHMS", "CONVERGED", "ITER_LIMIT", "INNER_INEXACT",
 ]
 
 CONVERGED = "converged"
 ITER_LIMIT = "iter_limit"
+# the residual met tol, but an inner QP solve missed its KKT tolerance
+INNER_INEXACT = "inner_inexact"
 
 
 @dataclasses.dataclass
@@ -102,14 +106,16 @@ class SolverConfig:
 
 @dataclasses.dataclass
 class SolverReport:
-    """Outcome of one solver run; residuals has one entry per iteration and
-    wall_time covers the iterations."""
+    """Outcome of one solver run; residuals has one entry per iteration,
+    wall_time covers the iterations and qp_not_optimal counts the inner QP
+    solves that missed cfg.qp_tol."""
     solution: np.ndarray
     residuals: list
     iterations: int
     status: str
     wall_time: float
     algorithm: str = ""
+    qp_not_optimal: int = 0
 
     @property
     def converged(self):
@@ -125,7 +131,8 @@ class _Run:
 
     project(v, slot) projects onto the problem's polyhedron with the run's
     identity-metric engine, warm-starting each slot from its own last duals;
-    the residual uses the slot "resid".
+    the residual uses the slot "resid". Every inner solve goes through
+    inner, which counts those that miss cfg.qp_tol.
     """
 
     def __init__(self, p, cfg, algorithm, engine=None):
@@ -135,10 +142,16 @@ class _Run:
         self.engine = engine or qp.QpEngine(np.eye(p.dim), p.C.D)
         self.duals = {}
         self.b = -p.C.d
+        self.not_optimal = 0
+
+    def inner(self, engine, c, warm_dual):
+        """One inner QP solve over the problem's polyhedron at cfg.qp_tol."""
+        sol = engine.solve(c, b=self.b, warm_dual=warm_dual, tol=self.cfg.qp_tol)
+        self.not_optimal += not sol.optimal
+        return sol
 
     def project(self, v, slot="x"):
-        sol = self.engine.solve(-v, b=self.b, warm_dual=self.duals.get(slot),
-                                tol=self.cfg.qp_tol)
+        sol = self.inner(self.engine, -v, self.duals.get(slot))
         self.duals[slot] = sol.lam
         return sol.y
 
@@ -161,19 +174,21 @@ class _Run:
 
     def drive(self, iterates):
         """Pull at most cfg.max_iter iterates, record the natural residual of
-        each, and stop at the first whose residual is within cfg.tol."""
+        each, and stop at the first whose residual is within cfg.tol; that
+        stop is ``converged`` only if no inner solve missed cfg.qp_tol."""
         t0 = time.perf_counter()
         residuals, status = [], ITER_LIMIT
         for u in itertools.islice(iterates, self.cfg.max_iter):
             residuals.append(float(np.linalg.norm(
                 u - self.project(u - self.p.F(u), "resid"))))
             if residuals[-1] <= self.cfg.tol:
-                status = CONVERGED
+                status = INNER_INEXACT if self.not_optimal else CONVERGED
                 break
         return SolverReport(
             solution=np.asarray(u, dtype=float).copy(), residuals=residuals,
             iterations=len(residuals), status=status,
-            wall_time=time.perf_counter() - t0, algorithm=self.algorithm)
+            wall_time=time.perf_counter() - t0, algorithm=self.algorithm,
+            qp_not_optimal=self.not_optimal)
 
 
 def _start(p, warm):
@@ -236,9 +251,8 @@ def dr_solve(p, cfg=None, warm=None, workspace=None):
     def iterates(u):
         y_dual = None
         while True:
-            sol = workspace.step_engine.solve(
-                p.q + workspace.M2mI @ u, b=run.b, warm_dual=y_dual,
-                tol=run.cfg.qp_tol)
+            sol = run.inner(workspace.step_engine, p.q + workspace.M2mI @ u,
+                            y_dual)
             y_dual = sol.lam
             u = scipy.linalg.lu_solve(workspace.lu_IM2, sol.y + M2 @ u)
             yield u

@@ -107,6 +107,26 @@ def test_solve_iteration_limit_error_json(tmp_path):
     assert "error" in payload
 
 
+def inexact_inner_solves(monkeypatch):
+    # every SolverConfig the CLI builds asks the inner QPs for 1e-300
+    config = cli.solvers.SolverConfig
+    monkeypatch.setattr(cli.solvers, "SolverConfig",
+                        lambda **kw: config(qp_tol=1e-300, **kw))
+
+
+def test_solve_inner_inexact_error_json(tmp_path, monkeypatch):
+    problem = tmp_path / "p.json"
+    avi.write_avi(scenario.random_avi(12, 6, seed=21), problem)
+    inexact_inner_solves(monkeypatch)
+    out = tmp_path / "err.json"
+    rc = cli.main(["solve", "--problem", str(problem), "--out", str(out)])
+    assert rc == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["status"] == "inner_inexact"
+    assert error["qp_not_optimal"] > 0
+    assert "KKT tolerance" in error["message"]
+
+
 def test_solve_infeasible_error_json(tmp_path):
     prob = tmp_path / "bad.json"
     prob.write_text(json.dumps({
@@ -205,6 +225,28 @@ def test_crossroad_run_outputs(tmp_path):
     dist, vel = scenario.crossroad_observables(spec, trace.states)
     row = agents[4]  # t=1, agent=1
     assert float(row["velocity"]) == pytest.approx(vel[1, 1])
+
+
+def test_crossroad_inner_inexact_exits_1(tmp_path, monkeypatch):
+    inexact_inner_solves(monkeypatch)
+    out = tmp_path / "cross"
+    rc = cli.main(["crossroad", "--vehicles", "3", "--steps", "5",
+                   "--out-dir", str(out)])
+    assert rc == 1
+    trace = rhc.read_trace_json(out / "trace.json")
+    flagged = [t for t, s in enumerate(trace.statuses) if s == "inner_inexact"]
+    assert flagged
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["steps"] == flagged
+
+
+def test_bench_inner_inexact_exits_1(tmp_path, monkeypatch):
+    inexact_inner_solves(monkeypatch)
+    rc = cli.main(["bench", "--instances", "1", "--n", "12", "--m", "6",
+                   "--algos", "dr", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    run, = json.loads((tmp_path / "summary.json").read_text())["runs"]
+    assert run["status"] == "inner_inexact" and not run["converged"]
 
 
 def test_crossroad_zero_initial_state(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from gamevi import qp as qp_module
 from gamevi.avi import Polyhedron
-from gamevi.errors import Infeasible
+from gamevi.errors import Infeasible, NonFiniteData
 from gamevi.qp import (ITER_LIMIT, OPTIMAL, QpEngine, QpProblem,
                        certify_feasibility, solve_qp)
 
@@ -167,6 +167,14 @@ def test_duplicated_active_rows():
     assert sol.status == OPTIMAL
     assert np.allclose(sol.y, [1.0, 0.0], atol=1e-8)
     assert sol.lam[0] + sol.lam[1] == pytest.approx(2.0, abs=1e-7)
+    # the singular Schur complement of rows {0, 1} is cached as None and
+    # solved by lstsq, on every later call too
+    engine = QpEngine(prob.P, D)
+    for _ in range(2):
+        again = engine.solve(prob.c, b=-d)
+        assert again.status == OPTIMAL
+        assert np.allclose(again.y, sol.y, atol=1e-12)
+    assert engine._factors[np.array([0, 1]).tobytes()] is None
 
 
 def degenerate_problem(rng, n, m):
@@ -198,14 +206,25 @@ def test_kkt_enumerate_agrees_with_solve_qp_on_degenerate_rows():
                                    sol.y, atol=1e-7)
 
 
-def test_least_distance_fallback_on_degenerate_instances():
+def test_least_distance_fallback_on_degenerate_instances(monkeypatch):
     # neither direct guess succeeds on a good share of these; the exact
     # fallback must then reach the tolerance and agree with the oracle.
     # Each instance is solved again with an all-zero row violated by 1e-11,
     # as best_response builds them; that row must not empty the set.
+    # Every engine is recorded, so the test also sees the active sets whose
+    # Schur complement was singular (cached as None, solved by lstsq).
+    engines = []
+
+    class RecordingEngine(QpEngine):
+        def __init__(self, P, D):
+            super().__init__(P, D)
+            engines.append(self)
+
+    monkeypatch.setattr(qp_module, "QpEngine", RecordingEngine)
     rng = np.random.default_rng(6)
     tol = 1e-10
     fallbacks = [0, 0]
+    singular = 0
     for _ in range(30):
         n = int(rng.integers(2, 5))
         prob, _ = degenerate_problem(rng, n, int(rng.integers(n + 1, 6)))
@@ -218,7 +237,9 @@ def test_least_distance_fallback_on_degenerate_instances():
             assert sol.kkt_residual <= tol
             assert np.allclose(sol.y, expected, atol=1e-7)
             fallbacks[k] += sol.iterations == 1
+            singular += any(f is None for f in engines[-1]._factors.values())
     assert min(fallbacks) >= 5
+    assert singular >= 5
 
 
 def test_least_distance_certifies_infeasibility(monkeypatch):
@@ -237,3 +258,112 @@ def test_least_distance_certifies_infeasibility(monkeypatch):
         solve_qp(QpProblem(np.eye(2), np.array([0.0, -1.0]), C))
     assert calls
     assert err.value.slack < 0
+
+
+def test_non_finite_data_rejected():
+    # a NaN offset used to pass: the certificate dropped the NaN violation
+    # and reported an optimal solution with KKT residual 0
+    engine = QpEngine(np.eye(2), np.eye(2))
+    with pytest.raises(NonFiniteData):
+        engine.solve(np.array([-1.0, -1.0]), b=np.array([np.nan, 0.0]))
+    with pytest.raises(NonFiniteData):
+        engine.solve(np.array([np.inf, -1.0]), b=np.zeros(2))
+    general = QpEngine(np.diag([2.0, 3.0]), np.eye(2))
+    with pytest.raises(NonFiniteData):
+        general.solve(np.array([np.nan, -1.0]), b=np.zeros(2))
+    with pytest.raises(NonFiniteData):
+        QpEngine(np.eye(2), np.array([[1.0, np.nan]]))
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kkt_certificate_rejects_non_finite_terms(position, bad):
+    terms = [np.zeros(3), np.full(2, -1.0), 0.0]
+    if position == 2:
+        terms[2] = bad
+    else:
+        terms[position][1] = bad
+    assert not qp_module._kkt_error(*terms) <= 1.0
+
+
+def spd(rng, n):
+    L = rng.normal(size=(n, n))
+    return L @ L.T / n + 0.5 * np.eye(n)
+
+
+def count_factorizations(monkeypatch):
+    """Record the size of every Schur-complement factorization."""
+    calls = []
+    dpotrf = qp_module.dpotrf
+    monkeypatch.setattr(qp_module, "dpotrf",
+                        lambda S: calls.append(S.shape[0]) or dpotrf(S))
+    return calls
+
+
+@pytest.mark.parametrize("metric", ["identity", "spd"])
+def test_cached_factors_agree_with_fresh_engines(metric, monkeypatch):
+    # a warm-started family sharing (P, D): every answer matches a fresh
+    # engine and the enumeration oracle, and each distinct active set is
+    # factored exactly once
+    factored = count_factorizations(monkeypatch)
+    rng = np.random.default_rng(11)
+    n, m = 5, 6
+    P = np.eye(n) if metric == "identity" else spd(rng, n)
+    D = rng.normal(size=(m, n))
+    b = D @ rng.normal(size=n) + rng.uniform(0.1, 0.5, m)
+    engine = QpEngine(P, D)
+    c0, direction = 3.0 * rng.normal(size=n), rng.normal(size=n)
+    family, dual = [], None
+    for k in range(40):
+        c = c0 + 0.1 * k * direction
+        family.append((c, dual, engine.solve(c, b=b, warm_dual=dual, tol=1e-10)))
+        dual = family[-1][2].lam
+    polished = sum(s.iterations == 0 and bool(np.any(s.lam)) for _, _, s in family)
+    assert polished >= 30
+    assert 0 < len(factored) == len(engine._factors) < polished
+    for c, dual, sol in family:
+        fresh = QpEngine(P, D).solve(c, b=b, warm_dual=dual, tol=1e-10)
+        assert sol.status == fresh.status == OPTIMAL
+        assert np.allclose(sol.y, fresh.y, atol=1e-10)
+        assert np.allclose(sol.y, kkt_enumerate(P, c, D, -b), atol=1e-7)
+
+
+def test_factor_cache_is_bounded(monkeypatch):
+    # more distinct active sets than the bound: the cache keeps exactly
+    # _FACTOR_CACHE of them and every answer still certifies
+    calls = count_factorizations(monkeypatch)
+    rng = np.random.default_rng(12)
+    n = 10
+    D = np.vstack([np.eye(n), -np.eye(n)])
+    b = np.ones(2 * n)
+    tol = 1e-10
+    for P in (np.eye(n), spd(rng, n)):
+        calls.clear()
+        engine = QpEngine(P, D)
+        family = [4.0 * rng.normal(size=n) for _ in range(200)]
+        solutions = [engine.solve(c, b=b, tol=tol) for c in family]
+        assert len(calls) > qp_module._FACTOR_CACHE
+        assert len(engine._factors) == qp_module._FACTOR_CACHE
+        for c, sol in zip(family, solutions):
+            assert sol.status == OPTIMAL and sol.kkt_residual <= tol
+            assert np.max(D @ sol.y - b) <= tol
+            fresh = QpEngine(P, D).solve(c, b=b, tol=tol)
+            assert np.allclose(sol.y, fresh.y, atol=1e-9)
+
+
+def test_near_singular_schur_complement_takes_lstsq():
+    # row 3 duplicates row 0: in floating point the Cholesky factorization
+    # of S_A succeeds with a pivot near 1e-8, which the pivot test rejects,
+    # so lstsq splits row 0's multiplier evenly as for an exact singularity
+    rng = np.random.default_rng(0)
+    D3 = np.eye(3, 5) + 0.1 * rng.normal(size=(3, 5))
+    D = np.vstack([D3, D3[:1]])
+    assert qp_module.dpotrf(D @ D.T)[1] == 0
+    y_star = np.linalg.svd(D3)[2][-1]  # D3 y_star = 0
+    c = -(y_star + D3.T @ np.array([1.0, 0.5, 0.8]))
+    engine = QpEngine(np.eye(5), D)
+    sol = engine.solve(c, b=np.zeros(4), tol=1e-10)
+    assert sol.status == OPTIMAL and sol.iterations == 0
+    assert np.allclose(sol.y, y_star, atol=1e-9)
+    assert np.allclose(sol.lam, [0.5, 0.5, 0.8, 0.5], atol=1e-9)
+    assert list(engine._factors.values()) == [None]

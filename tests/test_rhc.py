@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gamevi import game as G
-from gamevi import rhc
+from gamevi import rhc, scenario
 from gamevi.errors import Infeasible
 from gamevi.solvers import SolverConfig
 
@@ -191,6 +191,16 @@ def test_simulate_flags_iteration_limited_steps(small_game2):
     assert np.all(np.isfinite(trace.inputs))
     # applied inputs are feasible even for truncated solves
     assert trace.min_margin() >= -1e-8
+
+
+def test_crossroad_iteration_count_pinned():
+    # the first 60 steps of the 15-vehicle crossroad hold most of its DR
+    # iterations (737 of 977 over 300 steps)
+    spec = scenario.default_15_vehicle_spec()
+    compiled = G.compile_vi(scenario.build_crossroad(spec, horizon=10))
+    trace = rhc.simulate(compiled, scenario.default_initial_state(spec), 60,
+                         cfg(tol=1e-3, max_iter=5000))
+    assert sum(trace.solver_iterations) == 737
 
 
 def test_simulate_infeasible_reports_step_index():

@@ -8,8 +8,8 @@ from gamevi import qp
 from gamevi.errors import (InvalidConfig, InvalidSplitting, NonFiniteData,
                            NotStronglyMonotone)
 from gamevi.scenario import random_avi
-from gamevi.solvers import (ALGORITHMS, DrWorkspace, SolverConfig,
-                            agraal_solve, dr_solve, exgd_solve,
+from gamevi.solvers import (ALGORITHMS, CONVERGED, INNER_INEXACT, DrWorkspace,
+                            SolverConfig, agraal_solve, dr_solve, exgd_solve,
                             make_dr_splitting, nagd_solve, pgd_solve,
                             prgd_solve, solve, write_residual_csv)
 
@@ -109,6 +109,15 @@ def test_dr_fixed_point_property_constrained():
     rep = dr_solve(p, cfg=SolverConfig(tol=1e-16, max_iter=1, qp_tol=1e-12),
                    warm=u_star)
     assert np.max(np.abs(rep.solution - u_star)) < 1e-8
+
+
+def test_dr_iteration_counts_pinned():
+    # the DR iteration counts of the benchmark's random instances; a change
+    # to the QP engine or the splitting that moves one shows here
+    counts = [dr_solve(random_avi(100, 20, seed=(0, i)),
+                       cfg=SolverConfig(tol=1e-3, max_iter=5000)).iterations
+              for i in range(10)]
+    assert counts == [112, 104, 100, 113, 140, 104, 91, 114, 90, 114]
 
 
 def test_dr_linear_convergence_tail():
@@ -406,3 +415,16 @@ def test_residual_csv_schema(tmp_path):
     assert len(rows) == rep.iterations
     assert [int(r["iteration"]) for r in rows] == list(range(1, rep.iterations + 1))
     assert float(rows[-1]["residual"]) == rep.residuals[-1]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_inner_qp_misses_are_reported(algorithm):
+    # qp_tol far below round-off: the inner solves return iter_limit, so a
+    # run that meets tol must not report converged
+    p = random_avi(12, 6, seed=21)
+    exact = solve(p, algorithm, SolverConfig(tol=1e-4, max_iter=20000))
+    assert exact.status == CONVERGED and exact.qp_not_optimal == 0
+    rep = solve(p, algorithm, SolverConfig(tol=1e-4, max_iter=20000, qp_tol=1e-300))
+    assert rep.qp_not_optimal > 0
+    assert rep.status == INNER_INEXACT and not rep.converged
+    assert rep.final_residual <= 1e-4
