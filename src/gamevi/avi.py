@@ -104,17 +104,21 @@ def monotonicity_constants(M):
     return MonotonicityConstants(max(lam_min, 0.0), L, lam_min)
 
 
-def project(C, v, engine=None):
+def project(C, v, engine=None, solution=False):
     """Metric projection of v onto C, computed as the QP min 0.5||u - v||^2
     to KKT tolerance 1e-10; engine, if given, is an identity-metric
-    QpEngine for C.D. Raises Infeasible when C is certified empty.
+    QpEngine for C.D. With solution=True the whole qp.QpSolution is
+    returned (its status says whether the tolerance was met), otherwise its
+    point. Raises Infeasible when C is certified empty.
     """
     v = np.asarray(v, dtype=float).ravel()
     if C.n_rows == 0:
-        return v.copy()
-    if engine is None:
-        engine = qp.QpEngine(np.eye(C.dim), C.D)
-    return engine.solve(-v, b=-C.d, tol=1e-10).y
+        sol = qp.QpSolution(v.copy(), np.zeros(0), 0.0, qp.OPTIMAL, 0)
+    else:
+        if engine is None:
+            engine = qp.QpEngine(np.eye(C.dim), C.D)
+        sol = engine.solve(-v, b=-C.d, tol=1e-10)
+    return sol if solution else sol.y
 
 
 def natural_residual(p, u, engine=None):

@@ -10,16 +10,18 @@ two triangular solves: the factorization reuse of online active-set methods
 (Ferreau, Bock & Diehl, IJRNC 2008). No m x m Gram matrix D P^{-1} D' is
 formed, and P = I skips every solve with P. Warm duals from a previous
 nearby solve usually make the first guess exact, which is the performance
-lever for receding-horizon re-solves. When both guesses miss, the change of
-variables z = U (y - y_free), with P = U'U, turns the QP into a
-least-distance problem that one nonnegative least-squares call solves
-exactly (Lawson & Hanson, *Solving Least Squares Problems*, 1974, ch. 23).
-No path iterates; the contract is the KKT tolerance (stationarity, the
-violation of every row and complementarity), and ``iter_limit`` means the
-exact solve missed it.
+lever for receding-horizon re-solves. When both guesses miss, the
+Goldfarb-Idnani dual active-set method (Math. Programming 27, 1983) starts
+from the first guess, stripped to a dual-feasible set, and adds violated
+rows one at a time through the same cached factors; its final set is solved
+once more like a guess. The contract is the KKT tolerance (stationarity, the
+violation of every row and complementarity); ``iter_limit`` means the
+fallback stopped (at _DUAL_STEPS steps or on a numerical breakdown) short of
+it.
 
 Infeasibility is never inferred from round-off: it is certified by the
-slack-maximization phase (maximize s subject to D u + d + s <= 0, s <= 1).
+slack-maximization phase (maximize s subject to D u + d + s <= 0, s <= 1),
+the only user of scipy.optimize, which is imported there.
 """
 
 import dataclasses
@@ -27,7 +29,6 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import linprog, nnls
 
 from .errors import GameViError, Infeasible, NonFiniteData
 
@@ -43,9 +44,8 @@ INFEASIBLE = "infeasible"
 
 DEFAULT_TOL = 1e-8
 
-# least-distance residual -r[n] at or below this: the relaxed rows look
-# inconsistent, so the slack LP decides
-_LDP_EMPTY = 1e-12
+# steps of the dual active-set fallback; reaching the cap gives iter_limit
+_DUAL_STEPS = 1000
 
 # active sets whose Schur-complement factor one engine keeps
 _FACTOR_CACHE = 64
@@ -118,6 +118,7 @@ def certify_feasibility(D, d, strict_tol=1e-9):
     cost[-1] = -1.0
     A_ub = np.hstack([D, np.ones((m, 1))])
     bounds = [(None, None)] * n + [(None, 1.0)]
+    from scipy.optimize import linprog  # only here: scipy.optimize is large
     res = linprog(cost, A_ub=A_ub, b_ub=-d, bounds=bounds, method="highs")
     if res.status != 0:
         raise GameViError(f"slack-maximization LP failed: {res.message}")
@@ -138,15 +139,16 @@ class QpEngine:
     """Reusable solver for a family of QPs sharing (P, D).
 
     The linear term c and the offsets b may change between calls. Computed
-    once: the Cholesky factor P = U'U, D P^{-1} and the least-distance
-    matrix E = D U^{-1}. When P is the identity (np.array_equal, checked
-    once) there is no factor: the free minimizer is -c, and D P^{-1} and E
-    are D itself. Per active set A the upper Cholesky factor of the Schur
-    complement S_A = D_A P^{-1} D_A' is formed on first use and cached, at
-    most _FACTOR_CACHE sets with the oldest evicted first; a numerically
-    singular S_A (duplicated rows) is cached as None and solved by lstsq.
-    No m x m Gram matrix is formed. Warm duals are passed per call, so one
-    engine can serve several independent iterate streams.
+    once: the Cholesky factor P = U'U and D P^{-1}. When P is the identity
+    (np.array_equal, checked once) there is no factor: the free minimizer
+    is -c, and D P^{-1} is D itself. Per active set A the upper Cholesky
+    factor of the Schur complement S_A = D_A P^{-1} D_A' is formed on first
+    use and cached, at most _FACTOR_CACHE sets with the oldest evicted
+    first; a numerically singular S_A (duplicated rows) is cached as None
+    and solved by lstsq. The direct guesses and the Goldfarb-Idnani
+    fallback share these factors. No m x m Gram matrix is formed. Warm
+    duals are passed per call, so one engine can serve several independent
+    iterate streams.
     """
 
     def __init__(self, P, D):
@@ -160,14 +162,9 @@ class QpEngine:
         self._factors = {}
         if self._identity:
             self._DPinv = self.D
-            Et = self.D.T
         else:
             self._U = scipy.linalg.cho_factor(self.P)[0]
             self._DPinv = np.ascontiguousarray(dpotrs(self._U, self.D.T)[0].T)
-            Et = scipy.linalg.solve_triangular(self._U, self.D.T, trans="T")
-        # -E' in C order, the layout nnls works in, so the fallback's matrix
-        # is one contiguous copy per call
-        self._minus_Et = np.ascontiguousarray(-Et)
 
     def _kkt(self, c, b, y, active=None, lam_a=None):
         """KKT residual of y with multipliers lam_a on the rows active and
@@ -180,20 +177,27 @@ class QpEngine:
         return _kkt_error(stationarity + lam_a @ self.D[active], violation,
                           lam_a @ violation[active])
 
+    def _factor(self, active):
+        """Cached upper Cholesky factor of S_A, or None when S_A is
+        numerically singular (LAPACK potrf fails or a pivot is tiny)."""
+        key = active.tobytes()
+        try:
+            return self._factors[key]
+        except KeyError:
+            pass
+        R, info = dpotrf(self._schur(active))
+        pivots = np.diagonal(R)
+        if info or pivots.min() <= _PIVOT_RATIO * pivots.max():
+            R = None
+        if len(self._factors) >= _FACTOR_CACHE:
+            del self._factors[next(iter(self._factors))]
+        self._factors[key] = R
+        return R
+
     def _multipliers(self, active, rhs):
         """Solve S_A lam = rhs through the cached factor of S_A (LAPACK
         potrs), or by lstsq when S_A is numerically singular."""
-        key = active.tobytes()
-        try:
-            R = self._factors[key]
-        except KeyError:
-            R, info = dpotrf(self._schur(active))
-            pivots = np.diagonal(R)
-            if info or pivots.min() <= _PIVOT_RATIO * pivots.max():
-                R = None
-            if len(self._factors) >= _FACTOR_CACHE:
-                del self._factors[next(iter(self._factors))]
-            self._factors[key] = R
+        R = self._factor(active)
         if R is None:
             return np.linalg.lstsq(self._schur(active), rhs, rcond=None)[0]
         return dpotrs(R, rhs)[0]
@@ -227,59 +231,80 @@ class QpEngine:
         lam[active] = lam_a
         return QpSolution(y, lam, err, OPTIMAL, 0)
 
-    def _least_distance(self, c, b, y_free, violation, tol):
-        """Exact fallback: the QP as a least-distance problem, one NNLS call.
+    def _dual_active_set(self, c, b, y_free, violation, start, tol):
+        """Exact fallback: Goldfarb-Idnani dual active-set steps from start.
 
-        With z = U (y - y_free) and E = D U^{-1} the QP is min 0.5 ||z||^2
-        subject to -E z >= h, h = violation - tol. Relaxing the rows by tol
-        keeps rows violated only by round-off (all-zero rows of a best
-        response, say) from emptying the set. The problem is positively
-        homogeneous in h, so it is solved at unit scale h / s, s = max(h);
-        s = tol when no row is violated by more than tol, which gives u = 0
-        and y = y_free. Lawson & Hanson: for the nonnegative least-squares
-        solution u of [-E'; h'/s] u ~ e_{n+1} with residual r,
-        z = s r[:n] / -r[n] and the multipliers are s u / -r[n]; r = 0
-        means the rows are inconsistent. A result off by more than tol is
-        polished on the support of u.
+        The start is the guess that just missed, less negative multipliers
+        (dropped until it is dual feasible; a singular start falls back to
+        the empty set). A step raises the multiplier of the most violated
+        row p by t: y moves by -t z and the active multipliers by -t r, with
+        r = S_A^{-1} D_A P^{-1} n_p and z = P^{-1} (n_p - D_A' r). A full
+        step makes p active; a partial one drops the active row whose
+        multiplier reaches zero first. Once no row is violated by more than
+        tol, the final set is solved once more as a guess. With neither a
+        primal nor a dual step, the slack LP decides if the set is empty.
         """
-        h = violation - tol
-        s = max(float(np.max(h)), tol)
-        A = np.vstack([self._minus_Et, h / s])
-        e = np.zeros(self.n + 1)
-        e[-1] = 1.0
-        try:
-            u = nnls(A, e)[0]
-        except RuntimeError:  # scipy's iteration cap; the KKT test reports it
-            u = np.zeros(self.m)
-        r = A @ u - e
-        den = float(-r[-1])
-        if den <= _LDP_EMPTY:
-            report = certify_feasibility(self.D, -b)
-            if not report.feasible:
-                raise Infeasible(
-                    "constraint set certified empty "
-                    f"(max slack {report.slack:.3e})", slack=report.slack)
-        # a certified-feasible set with den this small is a numerical
-        # breakdown; the KKT test below reports it
-        scale = s / max(den, _LDP_EMPTY)
-        z = r[:-1] if self._identity else scipy.linalg.solve_triangular(self._U, r[:-1])
-        y = y_free + z * scale
-        lam = u * scale
-        support = np.flatnonzero(u)
-        err = self._kkt(c, b, y, support, lam[support])
-        if err <= tol:
-            return QpSolution(y, lam, err, OPTIMAL, 1)
-        sol = self._try_active_set(c, b, y_free, violation, support, tol)
+        active, lam_a = start[:0], np.zeros(0)
+        while start.size:
+            R = self._factor(start)
+            if R is None:
+                break
+            lam = dpotrs(R, violation[start])[0]
+            if (lam >= 0.0).all():
+                active, lam_a = start, lam
+                break
+            start = start[lam >= 0.0]
+        y, p = y_free - lam_a @ self._DPinv[active], -1
+        for _ in range(_DUAL_STEPS):
+            if p < 0:
+                excess = self.D @ y - b
+                excess[active] = 0.0
+                p = int(np.argmax(excess))
+                if excess[p] <= tol:
+                    break
+                lam_p = 0.0
+            n_p, DPinv_a = self.D[p], self._DPinv[active]
+            r = self._multipliers(active, DPinv_a @ n_p) if active.size else np.zeros(0)
+            z = self._DPinv[p] - r @ DPinv_a
+            curvature = float(n_p @ z)
+            # z vanishes (to the pivot test's accuracy) when n_p depends on
+            # the active rows: then only a dual step exists
+            primal = curvature > _PIVOT_RATIO ** 2 * float(n_p @ self._DPinv[p])
+            t_full = max(float(n_p @ y) - b[p], 0.0) / curvature if primal else np.inf
+            blocking = np.flatnonzero(r > 0.0)
+            ratios = lam_a[blocking] / r[blocking]
+            t = min(t_full, ratios.min(initial=np.inf))
+            if t == np.inf:
+                report = certify_feasibility(self.D, -b)
+                if not report.feasible:
+                    raise Infeasible("constraint set certified empty "
+                                     f"(max slack {report.slack:.3e})",
+                                     slack=report.slack)
+                break
+            if primal:
+                y = y - t * z
+            lam_a, lam_p = lam_a - t * r, lam_p + t
+            if t == t_full:
+                k = np.searchsorted(active, p)
+                active, lam_a = np.insert(active, k, p), np.insert(lam_a, k, lam_p)
+                p = -1
+            else:
+                k = blocking[np.argmin(ratios)]
+                active, lam_a = np.delete(active, k), np.delete(lam_a, k)
+        sol = self._try_active_set(c, b, y_free, violation, active, tol)
         if sol is not None:
             return dataclasses.replace(sol, iterations=1)
-        return QpSolution(y, lam, err, ITER_LIMIT, 1)
+        lam = np.zeros(self.m)
+        lam[active] = lam_a
+        err = self._kkt(c, b, y, active, lam_a)
+        return QpSolution(y, lam, err, OPTIMAL if err <= tol else ITER_LIMIT, 1)
 
     def solve(self, c, b=None, warm_dual=None, tol=DEFAULT_TOL):
         """Solve for the given linear term and constraint offsets b (= -d).
 
         Returns a QpSolution whose status is ``optimal`` (KKT residual <= tol)
-        or ``iter_limit`` (the exact solve missed tol); ``iterations`` is 1
-        when the least-distance fallback ran and 0 otherwise. Raises
+        or ``iter_limit`` (the fallback stopped short of tol); ``iterations``
+        is 1 when the dual active-set fallback ran and 0 otherwise. Raises
         NonFiniteData when c or b has a NaN or infinite entry, and
         Infeasible when the slack-maximization phase certifies an empty
         polyhedron.
@@ -303,26 +328,25 @@ class QpEngine:
                               OPTIMAL if err <= tol else ITER_LIMIT, 0)
 
         # Direct active-set guesses before the fallback: the caller's
-        # previous duals, then the rows violated by the free minimizer.
+        # previous duals, then the rows violated by the free minimizer. The
+        # fallback starts from the first of them.
+        guesses = [np.flatnonzero(violation > 0.0)]
         if warm_dual is not None:
-            warm_dual = np.asarray(warm_dual, dtype=float).ravel()
-            sol = self._try_active_set(c, b, y_free, violation,
-                                       np.flatnonzero(warm_dual > 1e-12), tol)
+            guesses.insert(0, np.flatnonzero(
+                np.asarray(warm_dual, dtype=float).ravel() > 1e-12))
+        for active in guesses:
+            sol = self._try_active_set(c, b, y_free, violation, active, tol)
             if sol is not None:
                 return sol
-        sol = self._try_active_set(c, b, y_free, violation,
-                                   np.flatnonzero(violation > 0.0), tol)
-        if sol is not None:
-            return sol
-        return self._least_distance(c, b, y_free, violation, tol)
+        return self._dual_active_set(c, b, y_free, violation, guesses[0], tol)
 
 
 def solve_qp(problem, tol=DEFAULT_TOL, warm_dual=None):
     """One-shot QP solve; see QpEngine for the reusable interface.
 
     Returns a QpSolution whose status is ``optimal`` (KKT residual <= tol)
-    or ``iter_limit`` (the exact solve missed tol). Raises Infeasible when
-    the constraint set is certified empty.
+    or ``iter_limit`` (the fallback stopped short of tol). Raises Infeasible
+    when the constraint set is certified empty.
     """
     engine = QpEngine(problem.P, problem.C.D)
     return engine.solve(problem.c, b=-np.asarray(problem.C.d, dtype=float).ravel(),

@@ -3,9 +3,11 @@
 Each step solves AVI(U_T(x), M, q_x) from a warm start, applies the first
 stage col_i(u_i*[0]) to the plant, and warm-starts the next step with the
 shifted solution (drop the first stage, append the equilibrium feedback at
-the predicted terminal state). Inside the terminal set the shifted sequence
-is already the exact solution, so the step degenerates to a single residual
-check -- the single-iteration regime visible in the iteration-count logs.
+the predicted terminal state); the run's solvers.DrWorkspace also carries
+the inner QP duals from step to step. Inside the terminal set the shifted
+sequence is already the exact solution, so the step degenerates to a single
+residual check -- the single-iteration regime visible in the iteration-count
+logs.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import time
 import numpy as np
 
 from . import solvers
-from .avi import natural_residual, project
+from .avi import project
 from .errors import Infeasible
 from .game import in_terminal_set, unconstrained_ne_sequence
 
@@ -75,6 +77,16 @@ def _step_margins(game, x, u0, x_next):
     return np.concatenate([mixed, state])
 
 
+def _count_inner(report, sol):
+    """Fold a residual or projection solve that missed its KKT tolerance
+    into the step's report, as dr_solve does for its own inner solves."""
+    if not sol.optimal:
+        report.qp_not_optimal += 1
+        if report.status == solvers.CONVERGED:
+            report.status = solvers.INNER_INEXACT
+    return report
+
+
 def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True):
     """One receding-horizon step: returns (applied first-stage input, report).
 
@@ -88,7 +100,9 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True
     residual evaluation; the reported solution and iteration count coincide
     with what a full solve would produce. Raises Infeasible (annotated with
     the state) when U_T(x) is empty. workspace is the solvers.DrWorkspace
-    of compiled, built here when omitted.
+    of compiled, built here when omitted. A shortcut residual or final
+    projection that misses its KKT tolerance counts in the report's
+    qp_not_optimal and turns ``converged`` into ``inner_inexact``.
     """
     cfg = cfg or solvers.SolverConfig()
     x = np.asarray(x, dtype=float).ravel()
@@ -100,17 +114,22 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True
     warm = np.asarray(warm, dtype=float).ravel()
     t0 = time.perf_counter()
     if terminal_shortcut and in_terminal_set(compiled, x):
-        r = natural_residual(problem, warm, engine=workspace.resid_engine)
+        sol = project(problem.C, warm - problem.F(warm),
+                      engine=workspace.resid_engine, solution=True)
+        r = float(np.linalg.norm(warm - sol.y))
         if r <= cfg.tol:
             report = solvers.SolverReport(
                 solution=warm.copy(), residuals=[r], iterations=1,
                 status=solvers.CONVERGED, wall_time=time.perf_counter() - t0,
                 algorithm="dr")
-            return compiled.first_stage(warm), report
+            return compiled.first_stage(warm), _count_inner(report, sol)
     report = solvers.dr_solve(problem, cfg=cfg, warm=warm, workspace=workspace)
     applied = report.solution
     if not problem.C.contains(applied):
-        applied = project(problem.C, applied, engine=workspace.resid_engine)
+        sol = project(problem.C, applied, engine=workspace.resid_engine,
+                      solution=True)
+        applied = sol.y
+        _count_inner(report, sol)
     return compiled.first_stage(applied), report
 
 

@@ -203,13 +203,19 @@ def _start(p, warm):
 
 
 class DrWorkspace:
-    """Factorizations reused across dr_solve calls sharing (M, D).
+    """Factorizations and warm duals reused across dr_solve calls sharing
+    (M, D).
 
     Built from the splitting of M (make_dr_splitting) and the constraint
     matrix D: holds the splitting, the LU factors of I + M2, the QP engine
     on I + M1 for the step-(a) solve, M2 - I, and the identity-metric engine
     for residuals and projections; q and the constraint offsets d may vary
-    call to call, which is what the receding-horizon loop exploits.
+    call to call, which is what the receding-horizon loop exploits. duals
+    holds the last step-(a) multipliers (key "a") and residual multipliers
+    ("resid") of the latest dr_solve through the workspace; the next one
+    starts its inner solves from them, so consecutive receding-horizon steps
+    warm-start each other. They only pick the first active-set guess, and
+    each inner solve still meets its KKT tolerance.
     """
 
     def __init__(self, splitting, D):
@@ -219,6 +225,7 @@ class DrWorkspace:
         self.step_engine = qp.QpEngine(eye + splitting.M1, D)
         self.resid_engine = qp.QpEngine(eye, D)
         self.M2mI = splitting.M2 - eye
+        self.duals = {}
 
 
 def dr_solve(p, cfg=None, warm=None, workspace=None):
@@ -237,7 +244,8 @@ def dr_solve(p, cfg=None, warm=None, workspace=None):
     warm : array, optional
         Starting point u_0 (defaults to zero).
     workspace : DrWorkspace, optional
-        Reusable factorizations for repeated solves with the same (M, C.D);
+        Reusable factorizations for repeated solves with the same (M, C.D),
+        and the warm duals this solve starts from and leaves for the next;
         built from make_dr_splitting(p.M) when omitted.
     """
     if workspace is None:
@@ -246,14 +254,14 @@ def dr_solve(p, cfg=None, warm=None, workspace=None):
           or workspace.step_engine.m != p.C.n_rows):
         raise InvalidConfig("workspace was built for a different problem shape")
     run = _Run(p, cfg, "dr", engine=workspace.resid_engine)
+    run.duals = workspace.duals  # carried to the next solve
     M2 = workspace.splitting.M2
 
     def iterates(u):
-        y_dual = None
         while True:
             sol = run.inner(workspace.step_engine, p.q + workspace.M2mI @ u,
-                            y_dual)
-            y_dual = sol.lam
+                            run.duals.get("a"))
+            run.duals["a"] = sol.lam
             u = scipy.linalg.lu_solve(workspace.lu_IM2, sol.y + M2 @ u)
             yield u
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -243,20 +248,21 @@ def test_least_distance_fallback_on_degenerate_instances(monkeypatch):
 
 
 def test_least_distance_certifies_infeasibility(monkeypatch):
-    # u1 <= -1 (twice), u1 >= 1, u2 <= 0: empty, and only the fallback sees it
+    # u1 <= -1 (twice), u1 >= 1, u2 <= 0: empty, and only the fallback sees
+    # it; the dual active-set loop then has no step and asks the slack LP
     calls = []
-    nnls = qp_module.nnls
+    certify = qp_module.certify_feasibility
 
-    def counting_nnls(A, b):
-        calls.append(A.shape)
-        return nnls(A, b)
+    def counting_certify(D, d):
+        calls.append(D.shape)
+        return certify(D, d)
 
-    monkeypatch.setattr(qp_module, "nnls", counting_nnls)
+    monkeypatch.setattr(qp_module, "certify_feasibility", counting_certify)
     C = Polyhedron(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
                    np.array([1.0, 1.0, 1.0, 0.0]))
     with pytest.raises(Infeasible) as err:
         solve_qp(QpProblem(np.eye(2), np.array([0.0, -1.0]), C))
-    assert calls
+    assert calls == [(4, 2)]
     assert err.value.slack < 0
 
 
@@ -367,3 +373,90 @@ def test_near_singular_schur_complement_takes_lstsq():
     assert np.allclose(sol.y, y_star, atol=1e-9)
     assert np.allclose(sol.lam, [0.5, 0.5, 0.8, 0.5], atol=1e-9)
     assert list(engine._factors.values()) == [None]
+
+
+def solve_and_check(engine, P, c, D, b, tol, warm_dual=None):
+    """Solve, assert the KKT certificate and the enumeration oracle, and
+    return the solution."""
+    sol = engine.solve(c, b=b, warm_dual=warm_dual, tol=tol)
+    assert sol.status == OPTIMAL and sol.kkt_residual <= tol
+    assert np.max(D @ sol.y - b) <= tol and np.all(sol.lam >= 0.0)
+    assert np.allclose(sol.y, kkt_enumerate(P, c, D, -b), atol=1e-7)
+    return sol
+
+
+@pytest.mark.parametrize("metric", ["identity", "spd"])
+def test_dual_active_set_from_warm_sets_off_by_rows(metric):
+    # warm duals on the exact active set with one or two rows dropped,
+    # added or swapped: the direct guesses often miss, and the dual
+    # active-set fallback, started from the warm set, must still end at the
+    # oracle's point
+    rng = np.random.default_rng(21)
+    tol = 1e-10
+    fallbacks = 0
+    for _ in range(40):
+        n, m = 5, 8
+        P = np.eye(n) if metric == "identity" else spd(rng, n)
+        D = rng.normal(size=(m, n))
+        b = D @ rng.normal(size=n) + rng.uniform(0.05, 0.5, m)
+        c = 4.0 * rng.normal(size=n)
+        engine = QpEngine(P, D)
+        exact = engine.solve(c, b=b, tol=tol)
+        warm = (exact.lam > 0.0).astype(float)
+        for row in rng.choice(m, int(rng.integers(1, 3)), replace=False):
+            warm[row] = 1.0 - warm[row]
+        sol = solve_and_check(engine, P, c, D, b, tol, warm_dual=warm)
+        assert np.allclose(sol.y, exact.y, atol=1e-10)
+        fallbacks += sol.iterations == 1
+    assert fallbacks >= 15
+
+
+def collinear_problem(rng, n):
+    """QP whose rows include a positive multiple of one row (the same
+    half-space or a parallel one) and a negative multiple of another (a
+    slab, an equality when both slacks are 0), as the crossroad's D has;
+    the slacks at a feasible point are 0 (the point on the face) or not."""
+    m = n + 2
+    D = rng.normal(size=(m, n))
+    i, j = rng.choice(m, 2, replace=False)
+    alpha = rng.uniform(0.5, 2.0, 2)
+    D = np.vstack([D, alpha[0] * D[i], -alpha[1] * D[j]])
+    b = D @ rng.normal(size=n) + rng.choice([0.0, 0.0, 0.2, 0.5], size=m + 2)
+    return D, b, 3.0 * rng.normal(size=n)
+
+
+@pytest.mark.parametrize("metric", ["identity", "spd"])
+def test_dual_active_set_on_collinear_rows(metric):
+    rng = np.random.default_rng(22)
+    tol = 1e-10
+    fallbacks = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        P = np.eye(n) if metric == "identity" else spd(rng, n)
+        D, b, c = collinear_problem(rng, n)
+        sol = solve_and_check(QpEngine(P, D), P, c, D, b, tol)
+        fallbacks += sol.iterations == 1
+    assert fallbacks >= 25
+
+
+def test_feasible_solves_do_not_import_scipy_optimize():
+    # only the slack LP of certify_feasibility needs scipy.optimize, which
+    # costs about 20 MB resident; direct guesses and the dual active-set
+    # fallback must not load it
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import gamevi
+        from gamevi.avi import Polyhedron
+        from gamevi.qp import QpProblem, solve_qp
+        D = np.array([[0.0, -2.3], [-0.2, -1.2], [-0.7, -0.5]])
+        C = Polyhedron(D, -np.array([0.5, 0.3, 0.4]))
+        sol = solve_qp(QpProblem(np.eye(2), np.array([-0.4, 4.1]), C))
+        assert sol.optimal and sol.iterations == 1, sol
+        print("scipy.optimize" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]

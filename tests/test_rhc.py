@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gamevi import game as G
-from gamevi import rhc, scenario
+from gamevi import qp, rhc, scenario
 from gamevi.errors import Infeasible
-from gamevi.solvers import SolverConfig
+from gamevi.solvers import INNER_INEXACT, DrWorkspace, SolverConfig
 
 from oracles import simulate_states
 
@@ -123,6 +125,50 @@ def test_rhc_step_infeasible_raises():
         rhc.rhc_step(c, np.zeros(1), None, cfg())
 
 
+def degrade_projections(monkeypatch, workspace, only_tol=None):
+    """Make the workspace's identity-metric engine report iter_limit, on
+    every call or only on those at the given KKT tolerance."""
+    solve = workspace.resid_engine.solve
+
+    def degraded(c, b=None, warm_dual=None, tol=qp.DEFAULT_TOL):
+        sol = solve(c, b=b, warm_dual=warm_dual, tol=tol)
+        if only_tol is None or tol == only_tol:
+            sol = dataclasses.replace(sol, status=qp.ITER_LIMIT)
+        return sol
+
+    monkeypatch.setattr(workspace.resid_engine, "solve", degraded)
+
+
+def test_rhc_step_shortcut_reports_inexact_residual(small_game2, monkeypatch):
+    # the shortcut's residual projection used to drop its QP status, so the
+    # step read converged whatever the projection returned
+    g, c = small_game2
+    x = 0.05 * np.random.default_rng(1).normal(size=g.n)
+    warm = G.unconstrained_ne_sequence(c, x)
+    ws = DrWorkspace(c.splitting, c.D)
+    degrade_projections(monkeypatch, ws)
+    u0, report = rhc.rhc_step(c, x, warm, cfg(tol=1e-3), workspace=ws)
+    assert report.iterations == 1
+    assert report.status == INNER_INEXACT and report.qp_not_optimal == 1
+    assert np.array_equal(u0, c.first_stage(warm))
+
+
+def test_rhc_step_reports_inexact_final_projection(crossroad4, monkeypatch):
+    # at the 4-vehicle crossroad's start the DR iterate is infeasible, so the
+    # step projects it; only that projection (at avi.project's tolerance
+    # 1e-10, not the inner solves' 1e-8) is made to miss its tolerance
+    spec, g, c = crossroad4
+    x = scenario.default_initial_state(spec)
+    warm = G.unconstrained_ne_sequence(c, x)
+    exact = rhc.rhc_step(c, x, warm, cfg(tol=1e-3))[1]
+    assert exact.converged and not c.avi_at(x).C.contains(exact.solution)
+    ws = DrWorkspace(c.splitting, c.D)
+    degrade_projections(monkeypatch, ws, only_tol=1e-10)
+    _, report = rhc.rhc_step(c, x, warm, cfg(tol=1e-3), workspace=ws)
+    assert report.iterations == exact.iterations
+    assert report.status == INNER_INEXACT and report.qp_not_optimal == 1
+
+
 # ------------------------------------------------------------------ simulate
 
 def test_simulate_zero_initial_state(small_game2):
@@ -201,6 +247,27 @@ def test_crossroad_iteration_count_pinned():
     trace = rhc.simulate(compiled, scenario.default_initial_state(spec), 60,
                          cfg(tol=1e-3, max_iter=5000))
     assert sum(trace.solver_iterations) == 737
+
+
+def test_crossroad_fallback_calls_pinned(monkeypatch):
+    # the same 60 steps: the QP engine's exact fallback runs 60 times, not
+    # 129 as when every step started its inner solves without warm duals;
+    # the DrWorkspace now carries them from one step to the next
+    calls = []
+    solve = qp.QpEngine.solve
+
+    def counting(self, *args, **kwargs):
+        sol = solve(self, *args, **kwargs)
+        calls.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(qp.QpEngine, "solve", counting)
+    spec = scenario.default_15_vehicle_spec()
+    compiled = G.compile_vi(scenario.build_crossroad(spec, horizon=10))
+    trace = rhc.simulate(compiled, scenario.default_initial_state(spec), 60,
+                         cfg(tol=1e-3, max_iter=5000))
+    assert sum(trace.solver_iterations) == 737
+    assert len(calls) == 1521 and sum(calls) == 60
 
 
 def test_simulate_infeasible_reports_step_index():

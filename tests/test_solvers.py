@@ -370,6 +370,42 @@ def test_dr_workspace_reuse_across_offsets():
         assert np.max(np.abs(shared.solution - fresh.solution)) <= 1e-7
 
 
+def test_dr_workspace_carries_duals_across_solves(monkeypatch):
+    """Each dr_solve through a workspace starts its step-(a) and residual
+    solves from the last duals of the previous one, as consecutive RHC
+    steps do; that picks only the first active-set guess, so every answer
+    matches a fresh solve to round-off, with equal iteration counts."""
+    rng = np.random.default_rng(33)
+    base = random_avi(20, 12, 33)
+    ws = DrWorkspace(make_dr_splitting(base.M), base.C.D)
+    first_duals = []
+    step_solve = ws.step_engine.solve
+
+    def recording(c, b=None, warm_dual=None, tol=qp.DEFAULT_TOL):
+        first_duals.append(warm_dual)
+        return step_solve(c, b=b, warm_dual=warm_dual, tol=tol)
+
+    monkeypatch.setattr(ws.step_engine, "solve", recording)
+    cfg = SolverConfig(tol=1e-6, max_iter=3000)
+    q, d = base.q.copy(), base.C.d.copy()
+    for k in range(8):
+        q = q + 0.05 * rng.normal(size=20)
+        d = d + 0.02 * rng.normal(size=12)
+        p = AviProblem(base.M, q, Polyhedron(base.C.D, d))
+        carried = dict(ws.duals)
+        first_duals.clear()
+        shared = dr_solve(p, cfg, workspace=ws)
+        fresh = dr_solve(p, cfg)
+        assert first_duals[0] is carried.get("a")
+        assert (k == 0) == (not carried)
+        assert shared.converged and fresh.converged
+        assert shared.iterations == fresh.iterations
+        assert np.max(np.abs(shared.solution - fresh.solution)) <= 1e-12
+        assert np.allclose(shared.residuals, fresh.residuals, rtol=0.0, atol=1e-12)
+        assert set(ws.duals) == {"a", "resid"}
+        assert all(lam.shape == (12,) for lam in ws.duals.values())
+
+
 def test_dr_workspace_shape_mismatch_rejected():
     base = random_avi(8, 4, 31)
     ws = DrWorkspace(make_dr_splitting(base.M), base.C.D)
