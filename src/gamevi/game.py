@@ -591,7 +591,8 @@ def best_response(compiled, x0, agent, others, tol=1e-8):
     augmented terminal weight -- over the agent's own input block, subject
     to the joint constraints with everyone else frozen at ``others``. This
     is a strictly convex QP; at an equilibrium it returns the agent's own
-    block. Raises Infeasible when no response satisfies the constraints.
+    block. Raises Infeasible when no response satisfies the constraints and
+    NoConvergence when the QP misses its KKT tolerance tol.
     """
     game = compiled.game
     i = int(agent)
@@ -622,6 +623,9 @@ def best_response(compiled, x0, agent, others, tol=1e-8):
     b = -(compiled.offsets_at(x0) + compiled.D @ frozen)
     engine = qp.QpEngine(P_qp, compiled.D[:, sl])
     sol = engine.solve(c_qp, b=b, tol=tol)
+    if not sol.optimal:
+        raise NoConvergence(f"best response of agent {i}: QP KKT residual "
+                            f"{sol.kkt_residual:.3e} above tol {tol:.1e}")
     return sol.y
 
 

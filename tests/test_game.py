@@ -448,6 +448,22 @@ def test_best_response_fixed_point_at_vi_solution(small_game2):
         assert np.max(np.abs(br - rep.solution[g.agent_slice(i)])) <= 1e-5
 
 
+def test_best_response_raises_when_qp_misses_tol(small_game2, monkeypatch):
+    # a QP that stops short of its KKT tolerance must not pass its iterate
+    # off as the best response
+    g, c = small_game2
+    solve = G.qp.QpEngine.solve
+
+    def short(self, *args, **kwargs):
+        sol = solve(self, *args, **kwargs)
+        sol.status, sol.kkt_residual = G.qp.ITER_LIMIT, 1e-3
+        return sol
+
+    monkeypatch.setattr(G.qp.QpEngine, "solve", short)
+    with pytest.raises(NoConvergence, match="agent 1"):
+        G.best_response(c, np.zeros(g.n), 1, np.zeros(g.input_dim))
+
+
 def test_best_response_single_agent_matches_lqr_sequence():
     one = np.array([[1.0]])
     g = G.LqGame(0.9 * one, [one], [one], [one], T=6)

@@ -8,7 +8,8 @@ import pytest
 
 from gamevi import qp as qp_module
 from gamevi.avi import Polyhedron
-from gamevi.errors import Infeasible, NonFiniteData
+from gamevi.errors import (DimensionMismatch, GameViError, Infeasible,
+                           NonFiniteData, NotStronglyMonotone)
 from gamevi.qp import (ITER_LIMIT, OPTIMAL, QpEngine, QpProblem,
                        certify_feasibility, solve_qp)
 
@@ -146,6 +147,34 @@ def test_rejects_asymmetric_p():
                   Polyhedron.unconstrained(2))
 
 
+def test_typed_errors_at_the_qp_boundary():
+    # each used to escape as numpy's LinAlgError, scipy's ValueError or a
+    # bare ValueError; each is now a GameViError and still a ValueError
+    box = make_box(-1, 1, 2)
+    engine = QpEngine(np.eye(2), box.D)
+    cases = [
+        (NotStronglyMonotone,
+         lambda: solve_qp(QpProblem(np.diag([1.0, -1.0]), np.zeros(2), box))),
+        (NotStronglyMonotone, lambda: QpEngine(np.zeros((2, 2)), box.D)),
+        (NonFiniteData, lambda: QpProblem([[1.0, np.nan], [np.nan, 1.0]],
+                                          np.zeros(2), box)),
+        (NonFiniteData, lambda: QpEngine(np.diag([np.inf, 1.0]), box.D)),
+        (DimensionMismatch, lambda: QpProblem(np.eye(2), np.zeros(3), box)),
+        (DimensionMismatch, lambda: QpProblem(np.ones(2), np.zeros(2), box)),
+        (DimensionMismatch, lambda: QpProblem(np.eye(3), np.zeros(3), box)),
+        (DimensionMismatch, lambda: QpEngine(np.eye(3), box.D)),
+        (DimensionMismatch, lambda: QpEngine(np.eye(2), np.ones(2))),
+        (DimensionMismatch, lambda: engine.solve(np.zeros(3), b=np.ones(4))),
+        (DimensionMismatch, lambda: engine.solve(np.zeros(2))),
+        (DimensionMismatch, lambda: engine.solve(np.array([5.0, 0.0]), b=np.ones(4),
+                                                 warm_dual=np.ones(3))),
+    ]
+    for error, call in cases:
+        with pytest.raises(error) as err:
+            call()
+        assert isinstance(err.value, GameViError) and isinstance(err.value, ValueError)
+
+
 def test_box_qp_active_at_bounds():
     # strongly pulled toward a corner outside the box
     prob = QpProblem(np.eye(3), np.array([-10.0, 10.0, 0.0]), make_box(-1, 1, 3))
@@ -164,7 +193,7 @@ def test_equality_encoded_as_paired_inequalities():
 
 
 def test_duplicated_active_rows():
-    # the same face twice: least-squares polish must split the multiplier
+    # the same face twice: the two copies share the multiplier
     D = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     d = np.array([-1.0, -1.0, -5.0])
     prob = QpProblem(np.eye(2), np.array([-3.0, 0.0]), Polyhedron(D, d))
@@ -172,8 +201,8 @@ def test_duplicated_active_rows():
     assert sol.status == OPTIMAL
     assert np.allclose(sol.y, [1.0, 0.0], atol=1e-8)
     assert sol.lam[0] + sol.lam[1] == pytest.approx(2.0, abs=1e-7)
-    # the singular Schur complement of rows {0, 1} is cached as None and
-    # solved by lstsq, on every later call too
+    # the singular Schur complement of rows {0, 1}, the start set, is
+    # cached as None, and every later call starts from the empty set
     engine = QpEngine(prob.P, D)
     for _ in range(2):
         again = engine.solve(prob.c, b=-d)
@@ -211,13 +240,13 @@ def test_kkt_enumerate_agrees_with_solve_qp_on_degenerate_rows():
                                    sol.y, atol=1e-7)
 
 
-def test_least_distance_fallback_on_degenerate_instances(monkeypatch):
-    # neither direct guess succeeds on a good share of these; the exact
-    # fallback must then reach the tolerance and agree with the oracle.
+def test_dual_active_set_on_degenerate_instances(monkeypatch):
+    # the start set misses on a good share of these; the dual active-set
+    # steps must then reach the tolerance and agree with the oracle.
     # Each instance is solved again with an all-zero row violated by 1e-11,
     # as best_response builds them; that row must not empty the set.
     # Every engine is recorded, so the test also sees the active sets whose
-    # Schur complement was singular (cached as None, solved by lstsq).
+    # Schur complement was singular (cached as None).
     engines = []
 
     class RecordingEngine(QpEngine):
@@ -247,9 +276,9 @@ def test_least_distance_fallback_on_degenerate_instances(monkeypatch):
     assert singular >= 5
 
 
-def test_least_distance_certifies_infeasibility(monkeypatch):
-    # u1 <= -1 (twice), u1 >= 1, u2 <= 0: empty, and only the fallback sees
-    # it; the dual active-set loop then has no step and asks the slack LP
+def test_dual_active_set_certifies_infeasibility(monkeypatch):
+    # u1 <= -1 (twice), u1 >= 1, u2 <= 0: empty, and only the dual
+    # active-set steps see it: they then have no step and ask the slack LP
     calls = []
     certify = qp_module.certify_feasibility
 
@@ -357,10 +386,12 @@ def test_factor_cache_is_bounded(monkeypatch):
             assert np.allclose(sol.y, fresh.y, atol=1e-9)
 
 
-def test_near_singular_schur_complement_takes_lstsq():
+def test_near_singular_start_set_starts_from_empty_set():
     # row 3 duplicates row 0: in floating point the Cholesky factorization
     # of S_A succeeds with a pivot near 1e-8, which the pivot test rejects,
-    # so lstsq splits row 0's multiplier evenly as for an exact singularity
+    # so the start set (all four rows violated) is replaced by the empty
+    # set and the dual active-set steps split row 0's multiplier between
+    # the two copies, not necessarily evenly
     rng = np.random.default_rng(0)
     D3 = np.eye(3, 5) + 0.1 * rng.normal(size=(3, 5))
     D = np.vstack([D3, D3[:1]])
@@ -369,10 +400,12 @@ def test_near_singular_schur_complement_takes_lstsq():
     c = -(y_star + D3.T @ np.array([1.0, 0.5, 0.8]))
     engine = QpEngine(np.eye(5), D)
     sol = engine.solve(c, b=np.zeros(4), tol=1e-10)
-    assert sol.status == OPTIMAL and sol.iterations == 0
+    assert sol.status == OPTIMAL and sol.kkt_residual <= 1e-10
     assert np.allclose(sol.y, y_star, atol=1e-9)
-    assert np.allclose(sol.lam, [0.5, 0.5, 0.8, 0.5], atol=1e-9)
-    assert list(engine._factors.values()) == [None]
+    assert np.all(sol.lam >= 0.0)
+    assert np.allclose(sol.lam[[1, 2]], [0.5, 0.8], atol=1e-9)
+    assert sol.lam[0] + sol.lam[3] == pytest.approx(1.0, abs=1e-9)
+    assert engine._factors[np.arange(4).tobytes()] is None
 
 
 def solve_and_check(engine, P, c, D, b, tol, warm_dual=None):
@@ -388,9 +421,8 @@ def solve_and_check(engine, P, c, D, b, tol, warm_dual=None):
 @pytest.mark.parametrize("metric", ["identity", "spd"])
 def test_dual_active_set_from_warm_sets_off_by_rows(metric):
     # warm duals on the exact active set with one or two rows dropped,
-    # added or swapped: the direct guesses often miss, and the dual
-    # active-set fallback, started from the warm set, must still end at the
-    # oracle's point
+    # added or swapped: the warm start set often misses, and the dual
+    # active-set steps from it must still end at the oracle's point
     rng = np.random.default_rng(21)
     tol = 1e-10
     fallbacks = 0
@@ -409,6 +441,35 @@ def test_dual_active_set_from_warm_sets_off_by_rows(metric):
         assert np.allclose(sol.y, exact.y, atol=1e-10)
         fallbacks += sol.iterations == 1
     assert fallbacks >= 15
+
+
+@pytest.mark.parametrize("metric", ["identity", "spd"])
+def test_start_rule_edge_cases(metric):
+    # two warm starts: an all-zero warm dual, left by a solve that took the
+    # free exit, and a numerically singular warm set (row 5 duplicates row
+    # 0, and both are warm), which is cached as None and replaced by the
+    # empty set; both must end at the oracle's point
+    rng = np.random.default_rng(23)
+    tol = 1e-10
+    n = 4
+    P = np.eye(n) if metric == "identity" else spd(rng, n)
+    D = rng.normal(size=(5, n))
+    y_star = rng.normal(size=n)
+    b = D @ y_star + np.concatenate([[0.0, 0.0], rng.uniform(0.1, 0.5, 3)])
+    D, b = np.vstack([D, D[:1]]), np.append(b, b[0])
+    c = -(P @ y_star + D[0] + 0.5 * D[1])  # rows 0 and 1 active at y_star
+    engine = QpEngine(P, D)
+    interior = certify_feasibility(D, -b)
+    assert interior.strictly_feasible
+    free = engine.solve(-P @ interior.point, b=b, tol=tol)
+    assert free.optimal and free.iterations == 0 and not np.any(free.lam)
+    singular = np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.5])
+    for warm in (free.lam, singular):
+        sol = solve_and_check(engine, P, c, D, b, tol, warm_dual=warm)
+        assert np.allclose(sol.y, y_star, atol=1e-9)
+        assert sol.lam[0] + sol.lam[5] == pytest.approx(1.0, abs=1e-9)
+        assert sol.iterations == 1
+    assert engine._factors[np.array([0, 1, 5]).tobytes()] is None
 
 
 def collinear_problem(rng, n):
@@ -441,8 +502,7 @@ def test_dual_active_set_on_collinear_rows(metric):
 
 def test_feasible_solves_do_not_import_scipy_optimize():
     # only the slack LP of certify_feasibility needs scipy.optimize, which
-    # costs about 20 MB resident; direct guesses and the dual active-set
-    # fallback must not load it
+    # costs about 20 MB resident; the dual active-set steps must not load it
     code = textwrap.dedent("""
         import sys
         import numpy as np

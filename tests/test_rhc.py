@@ -250,9 +250,10 @@ def test_crossroad_iteration_count_pinned():
 
 
 def test_crossroad_fallback_calls_pinned(monkeypatch):
-    # the same 60 steps: the QP engine's exact fallback runs 60 times, not
-    # 129 as when every step started its inner solves without warm duals;
-    # the DrWorkspace now carries them from one step to the next
+    # the same 60 steps: 68 inner solves need dual active-set steps from
+    # their start set, not 129 as when every step started its inner solves
+    # without warm duals; the DrWorkspace carries them from one step to the
+    # next
     calls = []
     solve = qp.QpEngine.solve
 
@@ -267,7 +268,7 @@ def test_crossroad_fallback_calls_pinned(monkeypatch):
     trace = rhc.simulate(compiled, scenario.default_initial_state(spec), 60,
                          cfg(tol=1e-3, max_iter=5000))
     assert sum(trace.solver_iterations) == 737
-    assert len(calls) == 1521 and sum(calls) == 60
+    assert len(calls) == 1521 and sum(calls) == 68
 
 
 def test_simulate_infeasible_reports_step_index():
