@@ -51,6 +51,10 @@ class NotStronglyMonotone(GameViError, ValueError):
     """Algorithm requires mu > 0 but the operator is not strongly monotone."""
 
 
+class NotSymmetric(GameViError, ValueError):
+    """A matrix that must be symmetric is not (to 1e-12, relative)."""
+
+
 class NoConvergence(GameViError, RuntimeError):
     """An iterative equation solver failed to reach its tolerance."""
 

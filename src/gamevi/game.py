@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 
+# closed-loop powers whose spectral norms one batched SVD computes
+_POWER_CHUNK = 16
+
+
 def _matrices(items, name):
     out = [np.atleast_2d(np.asarray(m, dtype=float)) for m in items]
     if not out:
@@ -319,9 +323,81 @@ def solve_are(A_hat, B_hat, Q_hat, R, tol=1e-12, max_iter=64):
 
 @dataclasses.dataclass
 class AugmentedRiccati:
-    """Uncoupled augmented-ARE solutions (symmetric PSD) and their residuals."""
+    """Augmented-ARE solutions P_hat_i = [[X_i, Y_i], [Y_i', Z_i]]
+    (symmetric PSD), assembled from their blocks, and each one's residual
+    in the full augmented DARE of build_augmented."""
     P_hat: list
     residuals: list
+
+
+def _stein(L, C, R, tol=1e-12, max_iter=64):
+    """Solution S = sum_k L^k C R^k of the Stein equations S = C + L S R
+    for a stack C of shape (N, n, n); L and R are (n, n) or stacked like C.
+
+    Smith doubling: S <- S + L S R, L <- L^2, R <- R^2, so 2^k terms are
+    summed after k doublings. The stopping rule is solve_are's, applied to
+    every equation of the stack: each increment at most tol relative to
+    1 + max|S| of its equation. NoConvergence is raised on a non-finite
+    iterate (rho(L) rho(R) >= 1 overflows within about ten doublings) or
+    after max_iter doublings.
+    """
+    S = C
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            inc = L @ S @ R
+            S = S + inc
+            delta = np.max(np.abs(inc), axis=(-2, -1))
+            if not np.isfinite(delta).all():
+                raise NoConvergence(f"Stein doubling diverged at step {it}")
+            if (delta <= tol * (1.0 + np.max(np.abs(S), axis=(-2, -1)))).all():
+                return S
+            L = L @ L
+            R = R @ R
+    raise NoConvergence(f"Stein doubling did not reach tol={tol:.1e} in {max_iter} doublings")
+
+
+def _augmented_riccati(game, riccati):
+    """Every agent's augmented ARE (build_augmented) solved through its
+    block structure, P_hat_i = [[X_i, Y_i], [Y_i', Z_i]].
+
+    Q_hat and B_hat vanish on the profile block and A_hat is block upper
+    triangular, so the augmented DARE splits into
+      X_i, K_i = solve_are(A, B_i, Q_i, R_i)            (n-dim DARE)
+      Y_i = A_Ki' (X_i Dr_i + Y_i A_cl)                  (Stein)
+      K_y = -(R_i + B_i' X_i B_i)^{-1} B_i' (X_i Dr_i + Y_i A_cl)
+      Z_i = A_cl' Z_i A_cl + C_i                         (Stein)
+    with A_Ki = A + B_i K_i, the drift Dr_i = sum_{j != i} B_j K_j, E_i =
+    Dr_i + B_i K_y and C_i = K_y' R_i K_y + E_i' X_i E_i + E_i' Y_i A_cl +
+    (E_i' Y_i A_cl)'; the augmented gain is [K_i, K_y]. Each Stein
+    equation is solved for all agents at once by one _stein doubling; the
+    per-agent steps loop, since the input widths m_i may differ. Each
+    residual is that of the full augmented DARE at P_hat_i.
+    """
+    n, N, A_cl = game.n, game.N, riccati.A_cl
+    parts = build_augmented(game, riccati)
+    X, A_Kt = np.empty((N, n, n)), np.empty((N, n, n))
+    for i in range(N):
+        X[i], K = solve_are(game.A, game.B[i], game.Q[i], game.R[i])
+        A_Kt[i] = (game.A + game.B[i] @ K).T
+    Dr = np.stack([A_hat[:n, n:] for A_hat, _, _ in parts])
+    Y = _stein(A_Kt, A_Kt @ X @ Dr, A_cl)
+    W = X @ Dr + Y @ A_cl
+    C = np.empty_like(X)
+    for i in range(N):
+        B, R = game.B[i], game.R[i]
+        K_y = -np.linalg.solve(R + B.T @ X[i] @ B, B.T @ W[i])
+        E = Dr[i] + B @ K_y
+        EYA = E.T @ Y[i] @ A_cl
+        C[i] = K_y.T @ R @ K_y + E.T @ X[i] @ E + EYA + EYA.T
+    Z = _stein(A_cl.T, C, A_cl)
+    P_hat, residuals = [], []
+    for i, (A_hat, B_hat, Q_hat) in enumerate(parts):
+        P = np.block([[X[i], Y[i]], [Y[i].T, (Z[i] + Z[i].T) / 2.0]])
+        K_hat = -np.linalg.solve(game.R[i] + B_hat.T @ P @ B_hat, B_hat.T @ P @ A_hat)
+        P_hat.append(P)
+        residuals.append(float(np.max(np.abs(
+            P - (Q_hat + A_hat.T @ P @ (A_hat + B_hat @ K_hat))))))
+    return AugmentedRiccati(P_hat, residuals)
 
 
 class CompiledGameVi:
@@ -369,15 +445,20 @@ class CompiledGameVi:
     @staticmethod
     def _bound_power_norms(A_cl, cap=100_000):
         """sup_k ||A_cl^k||_2, bounded by the prefix maximum once some power
-        has norm <= 1/2 (later powers factor through it)."""
+        has norm <= 1/2 (later powers factor through it). The powers are
+        formed one product at a time and their norms, the largest singular
+        values, come from one batched SVD per _POWER_CHUNK powers."""
         sup = 1.0
         power = np.eye(A_cl.shape[0])
-        for _ in range(cap):
-            power = power @ A_cl
-            nrm = float(np.linalg.norm(power, 2))
-            sup = max(sup, nrm)
-            if nrm <= 0.5:
-                return sup
+        powers = np.empty((_POWER_CHUNK,) + A_cl.shape)
+        for _ in range(0, cap, _POWER_CHUNK):
+            for k in range(_POWER_CHUNK):
+                power = power @ A_cl
+                powers[k] = power
+            for nrm in np.linalg.svd(powers, compute_uv=False)[:, 0]:
+                sup = max(sup, float(nrm))
+                if nrm <= 0.5:
+                    return sup
         raise NoConvergence("could not bound the closed-loop power norms")
 
     def q_of(self, x0):
@@ -408,10 +489,12 @@ def compile_vi(game):
 
     The coupled AREs are solved by the stacked fixed-point sweep; each
     agent's augmented ARE, backing the best-response terminal cost, is
-    solved eagerly by doubling (see solve_are); both run at their default
-    tolerances and caps. Raises InvalidSplitting (with the monotonicity
-    estimate attached) when the symmetric part of the compiled matrix is
-    not positive definite, and NoConvergence if either Riccati stage fails.
+    solved eagerly through its block structure: one n-dim solve_are per
+    agent plus two Stein doublings over the agent stack (see
+    _augmented_riccati); all run at their default tolerances and caps.
+    Raises InvalidSplitting (with the monotonicity estimate attached) when
+    the symmetric part of the compiled matrix is not positive definite, and
+    NoConvergence if either Riccati stage fails.
     """
     riccati = solve_coupled_riccati(game)
     n, N, T = game.n, game.N, game.T
@@ -439,13 +522,7 @@ def compile_vi(game):
 
     splitting = make_dr_splitting(M_ol)
 
-    P_hat, residuals = [], []
-    for i, (A_hat, B_hat, Q_hat) in enumerate(build_augmented(game, riccati)):
-        P, K = solve_are(A_hat, B_hat, Q_hat, game.R[i])
-        P_hat.append(P)
-        residuals.append(float(np.max(np.abs(
-            P - (Q_hat + A_hat.T @ P @ (A_hat + B_hat @ K))))))
-    augmented = AugmentedRiccati(P_hat, residuals)
+    augmented = _augmented_riccati(game, riccati)
 
     return CompiledGameVi(game, riccati, augmented, theta, gamma, M_ol, qmap,
                           D, d0, Dmap, splitting)

@@ -25,7 +25,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (DimensionMismatch, GameViError, Infeasible, NonFiniteData,
-                     NotStronglyMonotone)
+                     NotStronglyMonotone, NotSymmetric)
 
 __all__ = [
     "QpProblem", "QpSolution", "QpEngine", "FeasibilityReport",
@@ -59,7 +59,8 @@ class QpProblem:
     P must be symmetric (to 1e-12, relative) positive definite; C is any
     object with ``D`` and ``d`` attributes (avi.Polyhedron). Raises
     DimensionMismatch unless P is n x n and D has n columns for c of length
-    n, and NonFiniteData when P has a NaN or infinite entry.
+    n, NonFiniteData when P has a NaN or infinite entry, and NotSymmetric
+    when P is not symmetric.
     """
     P: np.ndarray
     c: np.ndarray
@@ -73,9 +74,16 @@ class QpProblem:
             raise DimensionMismatch(f"P must be {n} x {n} and D must have {n} columns")
         if not np.isfinite(self.P).all():
             raise NonFiniteData("P contains NaN or infinite entries")
-        scale = max(1.0, np.max(np.abs(self.P)))
-        if np.max(np.abs(self.P - self.P.T)) > 1e-12 * scale:
-            raise ValueError("P must be symmetric")
+        _check_symmetric(self.P)
+
+
+def _check_symmetric(P):
+    """Raise NotSymmetric unless |P - P'| <= 1e-12 max(1, max|P|): a
+    Cholesky factorization reads one triangle, so an asymmetric P would
+    silently define a different QP."""
+    scale = max(1.0, np.max(np.abs(P)))
+    if np.max(np.abs(P - P.T)) > 1e-12 * scale:
+        raise NotSymmetric("P must be symmetric")
 
 
 @dataclasses.dataclass
@@ -146,7 +154,8 @@ class QpEngine:
     cached as None.
 
     Raises DimensionMismatch unless P is n x n and D has n columns,
-    NonFiniteData when P or D has a NaN or infinite entry, and
+    NonFiniteData when P or D has a NaN or infinite entry, NotSymmetric
+    when P is not symmetric (the test QpProblem applies) and
     NotStronglyMonotone when P is not positive definite.
     """
 
@@ -163,6 +172,7 @@ class QpEngine:
         if self._identity:
             self._DPinv = self.D
         else:
+            _check_symmetric(self.P)
             try:
                 self._U = scipy.linalg.cho_factor(self.P)[0]
             except np.linalg.LinAlgError as exc:

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from gamevi import game as G
+from gamevi import scenario
 from gamevi.avi import monotonicity_constants, natural_residual
 from gamevi.blockmat import blkdg, blkmat, build_gamma, kron
 from gamevi.errors import (InvalidSplitting, NoConvergence, NonFiniteData,
@@ -214,6 +215,91 @@ def test_terminal_weight_identity():
         Ph, _ = G.solve_are(A_hat, B_hat, Q_hat, g.R[i], tol=1e-13)
         err = np.max(np.abs(r.P_ol[i] - (Ph[:n, :n] + Ph[:n, n:])))
         assert err < 1e-8
+
+
+def unequal_width_game():
+    """Three agents with inputs of widths 1, 2 and 3 on a stable 4-state
+    system."""
+    rng = np.random.default_rng(21)
+    n = 4
+    A = rng.normal(size=(n, n))
+    A = 0.8 * A / max(abs(np.linalg.eigvals(A)))
+    B = [rng.normal(size=(n, m)) for m in (1, 2, 3)]
+    Q = []
+    for _ in B:
+        C = rng.normal(size=(n, n))
+        Q.append(C.T @ C / n + 0.1 * np.eye(n))
+    R = [10.0 * np.eye(b.shape[1]) for b in B]   # 4 I gives a non-monotone VI
+    return G.LqGame(A, B, Q, R, T=3)
+
+
+@pytest.mark.parametrize("case", ["crossroad4", "unequal_widths", "single_agent"])
+def test_augmented_blocks_match_full_are(case, crossroad4):
+    """compile_vi assembles P_hat_i from an n-dim DARE and two Stein
+    equations; it must agree with the 2n-dim augmented DARE solved whole."""
+    if case == "crossroad4":
+        _, g, c = crossroad4
+    else:
+        g = unequal_width_game() if case == "unequal_widths" else scalar_game()
+        c = G.compile_vi(g)
+    n = g.n
+    parts = G.build_augmented(g, c.riccati)
+    assert len(c.augmented.P_hat) == g.N
+    for i, (A_hat, B_hat, Q_hat) in enumerate(parts):
+        P = c.augmented.P_hat[i]
+        P_ref, _ = G.solve_are(A_hat, B_hat, Q_hat, g.R[i])
+        scale = 1.0 + np.max(np.abs(P))
+        assert np.max(np.abs(P - P_ref)) <= 1e-10 * scale
+        assert np.array_equal(P, P.T)
+        assert c.augmented.residuals[i] <= 1e-12 * scale
+        if case == "single_agent":
+            # no drift: the profile terms vanish exactly
+            assert not P[:n, n:].any() and not P[n:, n:].any()
+
+
+def test_stein_doubling_raises_quickly_when_unstable():
+    L = 1.1 * np.eye(3)
+    t0 = time.perf_counter()
+    with pytest.raises(NoConvergence, match="diverged"):
+        G._stein(L, np.ones((2, 3, 3)), L)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_compile_vi_calls_solve_are_once_per_agent(monkeypatch):
+    g = unequal_width_game()
+    shapes = []
+    solve_are = G.solve_are
+
+    def counting(A, B, Q, R, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return solve_are(A, B, Q, R, *args, **kwargs)
+
+    monkeypatch.setattr(G, "solve_are", counting)
+    G.compile_vi(g)
+    assert shapes == [(g.n, g.n)] * g.N
+
+
+def per_power_sup(A_cl):
+    """sup_k ||A_cl^k||_2 with one norm call per power, stopping at the
+    first power of norm <= 1/2."""
+    sup, power = 1.0, np.eye(A_cl.shape[0])
+    while True:
+        power = power @ A_cl
+        nrm = float(np.linalg.norm(power, 2))
+        sup = max(sup, nrm)
+        if nrm <= 0.5:
+            return sup
+
+
+def test_power_sup_matches_per_power_loop():
+    g = scenario.build_crossroad(scenario.default_15_vehicle_spec(), horizon=10)
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=(6, 6))
+    for A_cl in (G.solve_coupled_riccati(g).A_cl,
+                 0.97 * A / max(abs(np.linalg.eigvals(A)))):
+        sup = G.CompiledGameVi._bound_power_norms(A_cl)
+        assert sup == per_power_sup(A_cl)
+        assert sup > 1.0
 
 
 # ------------------------------------------------------------- compilation

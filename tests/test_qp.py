@@ -9,7 +9,7 @@ import pytest
 from gamevi import qp as qp_module
 from gamevi.avi import Polyhedron
 from gamevi.errors import (DimensionMismatch, GameViError, Infeasible,
-                           NonFiniteData, NotStronglyMonotone)
+                           NonFiniteData, NotStronglyMonotone, NotSymmetric)
 from gamevi.qp import (ITER_LIMIT, OPTIMAL, QpEngine, QpProblem,
                        certify_feasibility, solve_qp)
 
@@ -145,6 +145,21 @@ def test_rejects_asymmetric_p():
     with pytest.raises(ValueError):
         QpProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2),
                   Polyhedron.unconstrained(2))
+
+
+def test_asymmetric_p_raises_not_symmetric():
+    # the engine's Cholesky factor reads one triangle of P, so it used to
+    # solve the QP of a different matrix and blame the iteration count
+    P = np.array([[2.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(NotSymmetric):
+        QpEngine(P, np.zeros((0, 2)))
+    with pytest.raises(NotSymmetric):
+        QpProblem(P, np.zeros(2), Polyhedron.unconstrained(2))
+    assert issubclass(NotSymmetric, GameViError)
+    # asymmetry within 1e-12 relative is accepted
+    near = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
+    sol = QpEngine(near, np.zeros((0, 2))).solve(np.ones(2), b=np.zeros(0))
+    assert sol.optimal
 
 
 def test_typed_errors_at_the_qp_boundary():
