@@ -46,10 +46,6 @@ __all__ = [
 ]
 
 
-# closed-loop powers whose spectral norms one batched SVD computes
-_POWER_CHUNK = 16
-
-
 def _matrices(items, name):
     out = [np.atleast_2d(np.asarray(m, dtype=float)) for m in items]
     if not out:
@@ -330,30 +326,30 @@ class AugmentedRiccati:
     residuals: list
 
 
-def _stein(L, C, R, tol=1e-12, max_iter=64):
+def _stein(L, C, R):
     """Solution S = sum_k L^k C R^k of the Stein equations S = C + L S R
     for a stack C of shape (N, n, n); L and R are (n, n) or stacked like C.
 
     Smith doubling: S <- S + L S R, L <- L^2, R <- R^2, so 2^k terms are
-    summed after k doublings. The stopping rule is solve_are's, applied to
-    every equation of the stack: each increment at most tol relative to
-    1 + max|S| of its equation. NoConvergence is raised on a non-finite
-    iterate (rho(L) rho(R) >= 1 overflows within about ten doublings) or
-    after max_iter doublings.
+    summed after k doublings. The stopping rule is solve_are's at its
+    defaults, applied to every equation of the stack: each increment at
+    most 1e-12 relative to 1 + max|S| of its equation. NoConvergence is
+    raised on a non-finite iterate (rho(L) rho(R) >= 1 overflows within
+    about ten doublings) or after 64 doublings.
     """
     S = C
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, 65):
             inc = L @ S @ R
             S = S + inc
             delta = np.max(np.abs(inc), axis=(-2, -1))
             if not np.isfinite(delta).all():
                 raise NoConvergence(f"Stein doubling diverged at step {it}")
-            if (delta <= tol * (1.0 + np.max(np.abs(S), axis=(-2, -1)))).all():
+            if (delta <= 1e-12 * (1.0 + np.max(np.abs(S), axis=(-2, -1)))).all():
                 return S
             L = L @ L
             R = R @ R
-    raise NoConvergence(f"Stein doubling did not reach tol={tol:.1e} in {max_iter} doublings")
+    raise NoConvergence("Stein doubling did not reach tol=1.0e-12 in 64 doublings")
 
 
 def _augmented_riccati(game, riccati):
@@ -445,20 +441,15 @@ class CompiledGameVi:
     @staticmethod
     def _bound_power_norms(A_cl, cap=100_000):
         """sup_k ||A_cl^k||_2, bounded by the prefix maximum once some power
-        has norm <= 1/2 (later powers factor through it). The powers are
-        formed one product at a time and their norms, the largest singular
-        values, come from one batched SVD per _POWER_CHUNK powers."""
+        has norm <= 1/2 (later powers factor through it)."""
         sup = 1.0
         power = np.eye(A_cl.shape[0])
-        powers = np.empty((_POWER_CHUNK,) + A_cl.shape)
-        for _ in range(0, cap, _POWER_CHUNK):
-            for k in range(_POWER_CHUNK):
-                power = power @ A_cl
-                powers[k] = power
-            for nrm in np.linalg.svd(powers, compute_uv=False)[:, 0]:
-                sup = max(sup, float(nrm))
-                if nrm <= 0.5:
-                    return sup
+        for _ in range(cap):
+            power = power @ A_cl
+            nrm = float(np.linalg.norm(power, 2))
+            sup = max(sup, nrm)
+            if nrm <= 0.5:
+                return sup
         raise NoConvergence("could not bound the closed-loop power norms")
 
     def q_of(self, x0):

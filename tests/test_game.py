@@ -6,7 +6,6 @@ import pytest
 import scipy.linalg
 
 from gamevi import game as G
-from gamevi import scenario
 from gamevi.avi import monotonicity_constants, natural_residual
 from gamevi.blockmat import blkdg, blkmat, build_gamma, kron
 from gamevi.errors import (InvalidSplitting, NoConvergence, NonFiniteData,
@@ -277,29 +276,6 @@ def test_compile_vi_calls_solve_are_once_per_agent(monkeypatch):
     monkeypatch.setattr(G, "solve_are", counting)
     G.compile_vi(g)
     assert shapes == [(g.n, g.n)] * g.N
-
-
-def per_power_sup(A_cl):
-    """sup_k ||A_cl^k||_2 with one norm call per power, stopping at the
-    first power of norm <= 1/2."""
-    sup, power = 1.0, np.eye(A_cl.shape[0])
-    while True:
-        power = power @ A_cl
-        nrm = float(np.linalg.norm(power, 2))
-        sup = max(sup, nrm)
-        if nrm <= 0.5:
-            return sup
-
-
-def test_power_sup_matches_per_power_loop():
-    g = scenario.build_crossroad(scenario.default_15_vehicle_spec(), horizon=10)
-    rng = np.random.default_rng(8)
-    A = rng.normal(size=(6, 6))
-    for A_cl in (G.solve_coupled_riccati(g).A_cl,
-                 0.97 * A / max(abs(np.linalg.eigvals(A)))):
-        sup = G.CompiledGameVi._bound_power_norms(A_cl)
-        assert sup == per_power_sup(A_cl)
-        assert sup > 1.0
 
 
 # ------------------------------------------------------------- compilation
