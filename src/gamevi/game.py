@@ -396,6 +396,37 @@ def _augmented_riccati(game, riccati):
     return AugmentedRiccati(P_hat, residuals)
 
 
+# in_terminal_set's default horizon and the strict margin it asks of every row
+_TERMINAL_HORIZON = 50
+_TERMINAL_MARGIN = 1e-9
+
+
+def _two_sided(G, g):
+    """The rows G y + g <= -_TERMINAL_MARGIN as lower <= U y <= upper: a row
+    and its exact negative (the two sides of a box) share one row of U."""
+    where, U, lower, upper = {}, [], [], []
+    for row, bound in zip(G, -g - _TERMINAL_MARGIN):
+        key, neg = (row + 0.0).tobytes(), (0.0 - row).tobytes()
+        if key in where:
+            upper[where[key]] = min(upper[where[key]], bound)
+        elif neg in where:
+            lower[where[neg]] = max(lower[where[neg]], -bound)
+        else:
+            where[key] = len(U)
+            U.append(row)
+            lower.append(-np.inf)
+            upper.append(bound)
+    return np.reshape(U, (-1, G.shape[1])), np.array(lower), np.array(upper)
+
+
+def _closed_loop_powers(A_cl, count):
+    """The powers A_cl^0 .. A_cl^(count - 1), each the last times A_cl."""
+    powers = [np.eye(A_cl.shape[0])]
+    while len(powers) < count:
+        powers.append(powers[-1] @ A_cl)
+    return powers
+
+
 class CompiledGameVi:
     """Everything the receding-horizon loop needs, precomputed once.
 
@@ -410,6 +441,14 @@ class CompiledGameVi:
       splitting  DR splitting of M_ol
       riccati, augmented   the Riccati products backing M_ol and the
                  best-response terminal cost
+
+    It also holds the terminal-set test of in_terminal_set, with nothing in
+    it depending on the state: per horizon h, the feedback constraint rows
+    along the loop stacked as [U; U A_cl; ..; U A_cl^(h-1)] with tiled lower
+    and upper bounds (U holds each row of G once, the two sides of a box
+    sharing one row), A_cl^h and the tail radius. The default horizon's
+    stack is built here from the powers that bound sup_k ||A_cl^k||; any
+    other horizon's on its first use.
     """
 
     def __init__(self, game, riccati, augmented, theta, gamma, M_ol, qmap,
@@ -429,28 +468,66 @@ class CompiledGameVi:
         self.d0 = d0
         self.Dmap = Dmap
         self.splitting = splitting
-        # constraint rows seen by the equilibrium feedback: used by the
-        # terminal-set membership test
+        # constraint rows seen by the equilibrium feedback, G x + g <= 0:
+        # the terminal-set test checks them along the closed loop
         G_mix = game.Ex + sum(game.Eu[i] @ riccati.K_ol[i] for i in range(game.N))
         self._fb_rows = np.vstack([G_mix, game.Dx])
         self._fb_offsets = np.concatenate([game.e, game.dx])
-        norms = np.linalg.norm(self._fb_rows, axis=1)
-        self._fb_norms = norms
-        self._power_sup = self._bound_power_norms(riccati.A_cl)
+        self._fb_bounds = _two_sided(self._fb_rows, self._fb_offsets)
+        powers = _closed_loop_powers(riccati.A_cl, _TERMINAL_HORIZON + 1)
+        self._terminal_radius = self._tail_radius(
+            self._bound_power_norms(riccati.A_cl, powers))
+        self._terminal_tests = {_TERMINAL_HORIZON: self._stack_test(powers)}
 
     @staticmethod
-    def _bound_power_norms(A_cl, cap=100_000):
+    def _bound_power_norms(A_cl, powers, cap=100_000):
         """sup_k ||A_cl^k||_2, bounded by the prefix maximum once some power
-        has norm <= 1/2 (later powers factor through it)."""
+        has norm <= 1/2 (later powers factor through it). powers holds
+        A_cl^0, A_cl^1, .. as far as already formed; the loop goes on from
+        there."""
         sup = 1.0
-        power = np.eye(A_cl.shape[0])
-        for _ in range(cap):
-            power = power @ A_cl
+        power = powers[0]
+        for k in range(1, cap + 1):
+            power = powers[k] if k < len(powers) else power @ A_cl
             nrm = float(np.linalg.norm(power, 2))
             sup = max(sup, nrm)
             if nrm <= 0.5:
                 return sup
         raise NoConvergence("could not bound the closed-loop power norms")
+
+    def _tail_radius(self, power_sup):
+        """Radius of the ball around the origin certified strictly feasible
+        (margin _TERMINAL_MARGIN) for every row, shrunk by the worst transient
+        amplification power_sup of the stable closed loop: a state within it
+        stays feasible for ever. inf when no row depends on the state;
+        -inf when some row can never hold its margin, so nothing passes."""
+        G, g = self._fb_rows, self._fb_offsets
+        norms = np.linalg.norm(G, axis=1)
+        nz = norms > 0.0
+        if np.any(~nz & (g > -_TERMINAL_MARGIN)):
+            return -np.inf
+        if not np.any(nz):
+            return np.inf
+        r_feas = np.min((-g[nz] - _TERMINAL_MARGIN) / norms[nz])
+        return r_feas / power_sup if r_feas > 0.0 else -np.inf
+
+    def _stack_test(self, powers):
+        """(rows, lower, upper, A_cl^h) of the terminal-set test at the
+        horizon h = len(powers) - 1, from the powers A_cl^0 .. A_cl^h."""
+        U, lower, upper = self._fb_bounds
+        stacked = np.stack(powers)
+        h = len(powers) - 1
+        rows = (U @ stacked[:-1]).reshape(-1, self.game.n)
+        return rows, np.tile(lower, h), np.tile(upper, h), stacked[-1]
+
+    def _terminal_test(self, horizon):
+        """The terminal-set test at the given horizon, built on first use."""
+        test = self._terminal_tests.get(horizon)
+        if test is None:
+            test = self._stack_test(
+                _closed_loop_powers(self.riccati.A_cl, horizon + 1))
+            self._terminal_tests[horizon] = test
+        return test
 
     def q_of(self, x0):
         """Affine offset col_i(Gamma_i' Qbar_i Theta x0) of the VI."""
@@ -537,37 +614,28 @@ def unconstrained_ne_sequence(compiled, x0, horizon=None):
         (states @ compiled.riccati.K_ol[i].T).ravel() for i in range(game.N)])
 
 
-def in_terminal_set(compiled, x, horizon_check=50):
+def in_terminal_set(compiled, x, horizon_check=_TERMINAL_HORIZON):
     """Sound membership test for the terminal set.
 
-    Simulates the equilibrium feedback loop for horizon_check steps and
-    requires every visited state to satisfy all constraint rows (state rows
-    plus the input rows mapped through the feedback gains) with at least
-    a strict margin of 1e-9; the tail beyond the simulated horizon is
-    covered by a norm-ball argument using sup_k ||A_cl^k||. Conservative:
-    may reject boundary states, never falsely accepts.
+    The states x, A_cl x, .., A_cl^(h-1) x of the equilibrium feedback loop,
+    h = horizon_check, must satisfy every constraint row G y + g <= 0
+    (state rows plus the input rows mapped through the feedback gains) with
+    a strict margin of 1e-9; the tail from A_cl^h x on is covered by a
+    norm-ball argument using sup_k ||A_cl^k||. Conservative: may reject
+    boundary states, never falsely accepts; a non-finite x is rejected.
+
+    The rollout is one product with the rows [G; G A_cl; ..; G A_cl^(h-1)],
+    stacked once per horizon by compiled as two-sided bounds (see
+    CompiledGameVi), so a call costs one matvec, two comparisons and one
+    norm.
     """
-    G = compiled._fb_rows
-    g = compiled._fb_offsets
-    margin = 1e-9
-    y = np.asarray(x, dtype=float).ravel()
-    for _ in range(horizon_check):
-        if G.shape[0] and np.max(G @ y + g) > -margin:
-            return False
-        y = compiled.riccati.A_cl @ y
-    if G.shape[0] == 0:
-        return True
-    # radius of a ball certified strictly feasible, shrunk by the worst
-    # transient amplification of the stable closed loop
-    nz = compiled._fb_norms > 0.0
-    if np.any((~nz) & (g > -margin)):
+    rows, lower, upper, tail = compiled._terminal_test(horizon_check)
+    x = np.asarray(x, dtype=float).ravel()
+    if not np.isfinite(x).all():
         return False
-    if not np.any(nz):
-        return True
-    r_feas = np.min((-g[nz] - margin) / compiled._fb_norms[nz])
-    if r_feas <= 0.0:
-        return False
-    return bool(np.linalg.norm(y) <= r_feas / compiled._power_sup)
+    v = rows @ x
+    return bool((lower <= v).all() and (v <= upper).all()
+                and np.linalg.norm(tail @ x) <= compiled._terminal_radius)
 
 
 @dataclasses.dataclass

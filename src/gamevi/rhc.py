@@ -27,12 +27,15 @@ __all__ = ["ClosedLoopTrace", "shift_warm_start", "rhc_step", "simulate",
 
 @dataclasses.dataclass
 class ClosedLoopTrace:
-    """Closed-loop record: states has steps+1 rows, everything else steps."""
+    """Closed-loop record: states has steps+1 rows, everything else steps.
+    constraint_margins is a (steps, rows) array: row t holds the realized
+    margins of step t's stage constraints and of its successor's state
+    constraints."""
     states: np.ndarray
     inputs: np.ndarray
     solver_iterations: list
     residual_at_termination: list
-    constraint_margins: list
+    constraint_margins: np.ndarray
     statuses: list
     meta: dict
 
@@ -41,9 +44,7 @@ class ClosedLoopTrace:
         return self.inputs.shape[0]
 
     def min_margin(self):
-        if not self.constraint_margins or all(m.size == 0 for m in self.constraint_margins):
-            return np.inf
-        return min(float(np.min(m)) for m in self.constraint_margins if m.size)
+        return float(np.min(self.constraint_margins, initial=np.inf))
 
 
 def _workspace(compiled):
@@ -134,12 +135,16 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True
 
 
 def _initial_warm_start(compiled, x0, workspace):
-    """Equilibrium feedback rollout, projected onto U_T(x0) if infeasible."""
+    """Equilibrium feedback rollout, projected onto U_T(x0) if infeasible.
+
+    A projection that misses its KKT tolerance is dropped for the rollout
+    itself: the first step's DR solve certifies whatever it starts from."""
     u = unconstrained_ne_sequence(compiled, x0)
     C = compiled.polyhedron_at(x0)
     if C.contains(u, tol=1e-12):
         return u
-    return project(C, u, engine=workspace.resid_engine)
+    sol = project(C, u, engine=workspace.resid_engine, solution=True)
+    return sol.y if sol.optimal else u
 
 
 def simulate(compiled, x0, steps, cfg=None, terminal_shortcut=True):
@@ -157,7 +162,8 @@ def simulate(compiled, x0, steps, cfg=None, terminal_shortcut=True):
     states = np.zeros((steps + 1, game.n))
     offs = game.offsets
     inputs = np.zeros((steps, offs[-1]))
-    iterations, residuals, margins, statuses = [], [], [], []
+    margins = np.zeros((steps, game.Ex.shape[0] + game.Dx.shape[0]))
+    iterations, residuals, statuses = [], [], []
     states[0] = x
     try:
         warm = _initial_warm_start(compiled, x, workspace)
@@ -177,7 +183,7 @@ def simulate(compiled, x0, steps, cfg=None, terminal_shortcut=True):
         states[t + 1] = x_next
         iterations.append(report.iterations)
         residuals.append(report.final_residual)
-        margins.append(_step_margins(game, x, u0, x_next))
+        margins[t] = _step_margins(game, x, u0, x_next)
         statuses.append(report.status)
         warm = shift_warm_start(report.solution, compiled, x)
         x = x_next
@@ -225,13 +231,14 @@ def read_trace_json(path):
     n = len(records[0]["x"])
     states = np.zeros((steps + 1, n))
     inputs = np.zeros((steps, len(records[0]["u"])))
-    iterations, residuals, margins, statuses = [], [], [], []
+    margins = np.zeros((steps, len(records[0]["margins"])))
+    iterations, residuals, statuses = [], [], []
     for t, rec in enumerate(records):
         states[t] = rec["x"]
         inputs[t] = rec["u"]
         iterations.append(int(rec["iterations"]))
         residuals.append(float(rec["residual"]))
-        margins.append(np.asarray(rec["margins"], dtype=float))
+        margins[t] = rec["margins"]
         statuses.append(rec.get("status", ""))
     states[steps] = payload["final_state"]
     return ClosedLoopTrace(states, inputs, iterations, residuals, margins,

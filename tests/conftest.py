@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gamevi import game, scenario
+from gamevi import game, rhc, scenario, solvers
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +16,35 @@ def crossroad4():
     g = scenario.build_crossroad(spec, horizon=10)
     compiled = game.compile_vi(g)
     return spec, g, compiled
+
+
+@pytest.fixture(scope="session")
+def crossroad15():
+    """Compiled 15-vehicle crossroad game, the `gamevi crossroad` default."""
+    spec = scenario.default_15_vehicle_spec()
+    g = scenario.build_crossroad(spec, horizon=10)
+    return spec, g, game.compile_vi(g)
+
+
+@pytest.fixture(scope="session")
+def crossroad15_run(crossroad15):
+    """The 300-step crossroad closed loop from the default start at tol 1e-3
+    (the `gamevi crossroad` defaults): its trace, and every state the loop
+    passed to in_terminal_set with the answer."""
+    spec, _, compiled = crossroad15
+    calls = []
+    test = rhc.in_terminal_set
+
+    def recording(c, x, *args, **kwargs):
+        accepted = test(c, x, *args, **kwargs)
+        calls.append((np.array(x, dtype=float), accepted))
+        return accepted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rhc, "in_terminal_set", recording)
+        trace = rhc.simulate(compiled, scenario.default_initial_state(spec), 300,
+                             solvers.SolverConfig(tol=1e-3, max_iter=5000))
+    return trace, calls
 
 
 @pytest.fixture(scope="session")

@@ -113,3 +113,44 @@ def loglinear_fit(values):
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return float(coef[0]), r2
+
+
+def terminal_set_rollout(game, K, A_cl, horizon=50, margin=1e-9):
+    """The terminal-set test as a plain rollout; returns x -> bool.
+
+    x passes when the states x, A_cl x, .., A_cl^(horizon-1) x satisfy
+    every feedback constraint row, (Ex + sum_i Eu_i K_i) y + e <= -margin
+    and Dx y + dx <= -margin, checked one state at a time, and A_cl^horizon x
+    lies in the ball of radius r_feas / sup_k ||A_cl^k||_2, r_feas being the
+    smallest distance from the origin to a row's margin-shifted boundary.
+    A row with no state dependence passes only if its offset keeps the
+    margin; no such row at all leaves no tail bound. A non-finite x fails.
+    """
+    G = np.vstack([game.Ex + sum(Eu @ Ki for Eu, Ki in zip(game.Eu, K)), game.Dx])
+    g = np.concatenate([game.e, game.dx])
+    norms = np.linalg.norm(G, axis=1)
+    sup, power = 1.0, np.eye(A_cl.shape[0])
+    while True:
+        power = power @ A_cl
+        nrm = np.linalg.norm(power, 2)
+        sup = max(sup, nrm)
+        if nrm <= 0.5:
+            break
+    dependent = [k for k in range(len(g)) if norms[k] > 0.0]
+    r_feas = min(((-g[k] - margin) / norms[k] for k in dependent), default=np.inf)
+
+    def test(x):
+        y = np.asarray(x, dtype=float).ravel()
+        if not np.all(np.isfinite(y)):
+            return False
+        for _ in range(horizon):
+            if np.any(G @ y + g > -margin):
+                return False
+            y = A_cl @ y
+        if any(norms[k] == 0.0 and g[k] > -margin for k in range(len(g))):
+            return False
+        if not dependent:
+            return True
+        return bool(r_feas > 0.0 and np.linalg.norm(y) <= r_feas / sup)
+
+    return test

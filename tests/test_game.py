@@ -12,7 +12,8 @@ from gamevi.errors import (InvalidSplitting, NoConvergence, NonFiniteData,
                            SingularA, SpecError)
 from gamevi.solvers import SolverConfig, dr_solve, make_dr_splitting
 
-from oracles import finite_diff_gradient, simulate_states, stagewise_feasible
+from oracles import (finite_diff_gradient, simulate_states, stagewise_feasible,
+                     terminal_set_rollout)
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -447,6 +448,97 @@ def test_in_terminal_set_sound_vs_long_rollout(small_game2):
             assert np.max(c._fb_rows @ y + c._fb_offsets) < 0.0
             y = c.riccati.A_cl @ y
     assert accepted >= 5
+
+
+TERMINAL_GAMES = ["small_game2", "crossroad4", "crossroad15"]
+
+
+def rollout_oracle(compiled, horizon):
+    return terminal_set_rollout(compiled.game, compiled.riccati.K_ol,
+                                compiled.riccati.A_cl, horizon)
+
+
+@pytest.mark.parametrize("horizon", [40, 50])
+@pytest.mark.parametrize("fixture", TERMINAL_GAMES)
+def test_in_terminal_set_matches_rollout_oracle(fixture, horizon, request):
+    """The stacked test decides as the plain rollout on random states at
+    scales 1e-3 to 10, inside and outside the set."""
+    c = request.getfixturevalue(fixture)[-1]
+    oracle = rollout_oracle(c, horizon)
+    rng = np.random.default_rng(11)
+    xs = [scale * rng.normal(size=c.game.n)
+          for scale in np.logspace(-3, 1, 13) for _ in range(15)]
+    want = [oracle(x) for x in xs]
+    assert [G.in_terminal_set(c, x, horizon) for x in xs] == want
+    assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize("horizon", [40, 50])
+@pytest.mark.parametrize("fixture", TERMINAL_GAMES)
+def test_in_terminal_set_matches_rollout_oracle_at_boundary(fixture, horizon,
+                                                             request):
+    """Along random rays from the origin the set is an interval; bisected
+    on the oracle to a relative width of 1e-9, its inner end passes the
+    stacked test and its outer end fails it."""
+    c = request.getfixturevalue(fixture)[-1]
+    oracle = rollout_oracle(c, horizon)
+    assert oracle(np.zeros(c.game.n))
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        d = rng.normal(size=c.game.n)
+        lo, hi = 0.0, 1.0
+        while oracle(hi * d):
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-9 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if oracle(mid * d) else (lo, mid)
+        assert G.in_terminal_set(c, lo * d, horizon)
+        assert not G.in_terminal_set(c, hi * d, horizon)
+
+
+@pytest.mark.parametrize("fixture", TERMINAL_GAMES)
+def test_in_terminal_set_rejects_non_finite_states(fixture, request):
+    c = request.getfixturevalue(fixture)[-1]
+    oracle = rollout_oracle(c, 50)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros(c.game.n)
+        x[0] = bad
+        assert not oracle(x)
+        assert not G.in_terminal_set(c, x)
+
+
+@pytest.mark.parametrize("dx, inside", [
+    (None, True),                         # no constraint rows
+    (np.array([-1.0]), True),             # a row that holds everywhere
+    (np.array([-0.5e-9]), False),         # a row short of the margin
+])
+def test_in_terminal_set_state_free_rows(dx, inside):
+    """Rows that do not depend on the state decide alone: no rows or only
+    rows that keep the margin accept every finite state, any row short of
+    it accepts none, at every horizon including 0."""
+    one = np.array([[1.0]])
+    Dx = None if dx is None else np.zeros((1, 1))
+    c = G.compile_vi(G.LqGame(0.5 * one, [one], [one], [one], T=2, Dx=Dx, dx=dx))
+    for horizon in (0, 1, 50):
+        oracle = rollout_oracle(c, horizon)
+        for x in ([0.0], [3.0], [-1e6]):
+            assert oracle(x) == inside
+            assert G.in_terminal_set(c, x, horizon) == inside
+        assert not G.in_terminal_set(c, [np.nan], horizon)
+
+
+def test_in_terminal_set_repeated_and_opposite_rows():
+    """Rows that repeat or negate one another bound one quantity from both
+    sides, the tightest offset on each side deciding."""
+    one = np.array([[1.0]])
+    Dx = np.array([[1.0], [1.0], [-1.0], [-1.0], [2.0]])
+    dx = np.array([-1.0, -0.5, -2.0, -3.0, -4.0])
+    c = G.compile_vi(G.LqGame(0.5 * one, [one], [one], [one], T=2, Dx=Dx, dx=dx))
+    oracle = rollout_oracle(c, 50)
+    xs = np.linspace(-2.5, 1.0, 351)
+    want = [oracle([x]) for x in xs]
+    assert [G.in_terminal_set(c, [x]) for x in xs] == want
+    assert want[0] is False and True in want and want[-1] is False
 
 
 def test_check_care_solvability_scalar_hand_values():

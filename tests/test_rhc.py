@@ -8,7 +8,7 @@ from gamevi import qp, rhc, scenario
 from gamevi.errors import Infeasible
 from gamevi.solvers import INNER_INEXACT, DrWorkspace, SolverConfig
 
-from oracles import simulate_states
+from oracles import simulate_states, terminal_set_rollout
 
 
 def cfg(tol=1e-6, max_iter=2000):
@@ -271,6 +271,56 @@ def test_crossroad_fallback_calls_pinned(monkeypatch):
     assert len(calls) == 1521 and sum(calls) == 68
 
 
+def test_crossroad_full_run_pinned(crossroad15_run):
+    # all 300 steps of the `gamevi crossroad` defaults: 977 DR iterations,
+    # and the terminal set holds exactly the states from step 54 on, so 246
+    # steps take the terminal shortcut
+    trace, calls = crossroad15_run
+    assert sum(trace.solver_iterations) == 977
+    assert [accepted for _, accepted in calls] == [False] * 54 + [True] * 246
+    assert all(trace.solver_iterations[t] == 1 for t in range(54, 300))
+    assert all(np.array_equal(x, trace.states[t]) for t, (x, _) in enumerate(calls))
+
+
+def test_crossroad_terminal_set_matches_rollout_oracle(crossroad15, crossroad15_run):
+    _, _, c = crossroad15
+    trace, _ = crossroad15_run
+    oracle = terminal_set_rollout(c.game, c.riccati.K_ol, c.riccati.A_cl)
+    assert [G.in_terminal_set(c, x) for x in trace.states] == [
+        oracle(x) for x in trace.states]
+
+
+def test_initial_warm_start_drops_uncertified_projection(crossroad4, monkeypatch):
+    # the feedback rollout violates the 4-vehicle crossroad's constraints at
+    # its start, so the warm start is its projection; a projection that
+    # misses its KKT tolerance is not used, the rollout is
+    spec, g, c = crossroad4
+    x = scenario.default_initial_state(spec)
+    rollout = G.unconstrained_ne_sequence(c, x)
+    C = c.polyhedron_at(x)
+    assert not C.contains(rollout, tol=1e-12)
+    ws = DrWorkspace(c.splitting, c.D)
+    projected = rhc._initial_warm_start(c, x, ws)
+    assert C.contains(projected, tol=1e-9)
+    degrade_projections(monkeypatch, ws)
+    assert np.array_equal(rhc._initial_warm_start(c, x, ws), rollout)
+
+
+def test_simulate_margins_one_array(small_game2):
+    g, c = small_game2
+    x0 = 0.5 * np.random.default_rng(13).normal(size=g.n)
+    trace = rhc.simulate(c, x0, 9, cfg())
+    rows = g.Ex.shape[0] + g.Dx.shape[0]
+    assert isinstance(trace.constraint_margins, np.ndarray)
+    assert trace.constraint_margins.shape == (9, rows)
+    assert trace.min_margin() == np.min(trace.constraint_margins)
+    one = np.array([[1.0]])
+    free = G.compile_vi(G.LqGame(0.5 * one, [one], [one], [one], T=2))
+    trace = rhc.simulate(free, np.array([1.0]), 3, cfg())
+    assert trace.constraint_margins.shape == (3, 0)
+    assert trace.min_margin() == np.inf
+
+
 def test_simulate_infeasible_reports_step_index():
     one = np.array([[1.0]])
     # becomes infeasible once the state drifts past the reachable band
@@ -296,8 +346,8 @@ def test_trace_json_round_trip(tmp_path, small_game2):
     assert np.array_equal(back.inputs, trace.inputs)
     assert back.solver_iterations == trace.solver_iterations
     assert back.residual_at_termination == trace.residual_at_termination
-    for a, b in zip(back.constraint_margins, trace.constraint_margins):
-        assert np.array_equal(a, b)
+    assert isinstance(back.constraint_margins, np.ndarray)
+    assert np.array_equal(back.constraint_margins, trace.constraint_margins)
 
 
 def test_iterations_csv_format(tmp_path, small_game2):
