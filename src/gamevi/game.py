@@ -442,13 +442,19 @@ class CompiledGameVi:
       riccati, augmented   the Riccati products backing M_ol and the
                  best-response terminal cost
 
+      F          the feedback rollout u_i[t] = K_i A_cl^t x0 over the horizon
+                 T as rows [K_i; K_i A_cl; ..; K_i A_cl^(T-1)], agent-major
+                 like u: the unconstrained VI solution is F @ x0
+      E          M_ol F + qmap, so the VI operator at F x0 is E @ x0 (zero up
+                 to the Riccati tolerance)
+
     It also holds the terminal-set test of in_terminal_set, with nothing in
     it depending on the state: per horizon h, the feedback constraint rows
     along the loop stacked as [U; U A_cl; ..; U A_cl^(h-1)] with tiled lower
     and upper bounds (U holds each row of G once, the two sides of a box
     sharing one row), A_cl^h and the tail radius. The default horizon's
-    stack is built here from the powers that bound sup_k ||A_cl^k||; any
-    other horizon's on its first use.
+    stack and F are built here from the powers that bound sup_k ||A_cl^k||;
+    any other horizon's stack or rollout rows on first use.
     """
 
     def __init__(self, game, riccati, augmented, theta, gamma, M_ol, qmap,
@@ -474,10 +480,15 @@ class CompiledGameVi:
         self._fb_rows = np.vstack([G_mix, game.Dx])
         self._fb_offsets = np.concatenate([game.e, game.dx])
         self._fb_bounds = _two_sided(self._fb_rows, self._fb_offsets)
-        powers = _closed_loop_powers(riccati.A_cl, _TERMINAL_HORIZON + 1)
+        powers = _closed_loop_powers(riccati.A_cl,
+                                     max(_TERMINAL_HORIZON + 1, game.T))
         self._terminal_radius = self._tail_radius(
             self._bound_power_norms(riccati.A_cl, powers))
-        self._terminal_tests = {_TERMINAL_HORIZON: self._stack_test(powers)}
+        self._terminal_tests = {
+            _TERMINAL_HORIZON: self._stack_test(powers[:_TERMINAL_HORIZON + 1])}
+        self.F = self._stack_rollout(powers[:game.T])
+        self._rollouts = {game.T: self.F}
+        self.E = M_ol @ self.F + qmap
 
     @staticmethod
     def _bound_power_norms(A_cl, powers, cap=100_000):
@@ -518,7 +529,8 @@ class CompiledGameVi:
         stacked = np.stack(powers)
         h = len(powers) - 1
         rows = (U @ stacked[:-1]).reshape(-1, self.game.n)
-        return rows, np.tile(lower, h), np.tile(upper, h), stacked[-1]
+        # a copy, so that the test does not pin the whole power stack
+        return rows, np.tile(lower, h), np.tile(upper, h), stacked[-1].copy()
 
     def _terminal_test(self, horizon):
         """The terminal-set test at the given horizon, built on first use."""
@@ -528,6 +540,24 @@ class CompiledGameVi:
                 _closed_loop_powers(self.riccati.A_cl, horizon + 1))
             self._terminal_tests[horizon] = test
         return test
+
+    def _stack_rollout(self, powers):
+        """Rows of the feedback rollout over the horizon h = len(powers),
+        from the powers A_cl^0 .. A_cl^(h-1): agent i's block stacks
+        K_i A_cl^t for t = 0..h-1."""
+        n = self.game.n
+        stacked = np.reshape(powers, (-1, n, n))
+        return np.vstack([(K @ stacked).reshape(-1, n) for K in self.riccati.K_ol])
+
+    def _rollout(self, horizon):
+        """The feedback rollout rows at the given horizon, built on first
+        use."""
+        F = self._rollouts.get(horizon)
+        if F is None:
+            F = self._stack_rollout(
+                _closed_loop_powers(self.riccati.A_cl, horizon)[:horizon])
+            self._rollouts[horizon] = F
+        return F
 
     def q_of(self, x0):
         """Affine offset col_i(Gamma_i' Qbar_i Theta x0) of the VI."""
@@ -599,19 +629,14 @@ def compile_vi(game):
 def unconstrained_ne_sequence(compiled, x0, horizon=None):
     """Stacked feedback rollout u_i[t] = K_i (A + sum_j B_j K_j)^t x0.
 
-    Agent-major stacking to match the VI ordering; this is the closed-form
-    VI solution whenever x0 lies in the terminal set.
+    Agent-major stacking to match the VI ordering; one matvec with the
+    rollout rows compiled holds per horizon (CompiledGameVi.F at the VI's
+    horizon). This is the unconstrained VI solution for every x0, and so the
+    VI solution wherever it is feasible, in particular inside the terminal
+    set.
     """
-    game = compiled.game
-    T = game.T if horizon is None else int(horizon)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    states = np.zeros((T, game.n))
-    x = x0
-    for t in range(T):
-        states[t] = x
-        x = compiled.riccati.A_cl @ x
-    return np.concatenate([
-        (states @ compiled.riccati.K_ol[i].T).ravel() for i in range(game.N)])
+    T = compiled.game.T if horizon is None else int(horizon)
+    return compiled._rollout(T) @ np.asarray(x0, dtype=float).ravel()
 
 
 def in_terminal_set(compiled, x, horizon_check=_TERMINAL_HORIZON):

@@ -4,10 +4,10 @@ Each step solves AVI(U_T(x), M, q_x) from a warm start, applies the first
 stage col_i(u_i*[0]) to the plant, and warm-starts the next step with the
 shifted solution (drop the first stage, append the equilibrium feedback at
 the predicted terminal state); the run's solvers.DrWorkspace also carries
-the inner QP duals from step to step. Inside the terminal set the shifted
-sequence is already the exact solution, so the step degenerates to a single
-residual check -- the single-iteration regime visible in the iteration-count
-logs.
+the inner QP duals from step to step. Inside the terminal set the feedback
+rollout F x is feasible and therefore the solution in closed form: the step
+returns it after one matvec and one residual bound, with no QP solve -- the
+single-iteration regime visible in the iteration-count logs.
 """
 
 import dataclasses
@@ -78,16 +78,6 @@ def _step_margins(game, x, u0, x_next):
     return np.concatenate([mixed, state])
 
 
-def _count_inner(report, sol):
-    """Fold a residual or projection solve that missed its KKT tolerance
-    into the step's report, as dr_solve does for its own inner solves."""
-    if not sol.optimal:
-        report.qp_not_optimal += 1
-        if report.status == solvers.CONVERGED:
-            report.status = solvers.INNER_INEXACT
-    return report
-
-
 def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True):
     """One receding-horizon step: returns (applied first-stage input, report).
 
@@ -96,41 +86,44 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True
     it the plant would see constraint violations of the order of the solver
     tolerance); at convergence the two differ by at most the tolerance.
 
-    With the shortcut enabled, a state inside the terminal set whose warm
-    start already meets the residual tolerance returns after exactly one
-    residual evaluation; the reported solution and iteration count coincide
-    with what a full solve would produce. Raises Infeasible (annotated with
-    the state) when U_T(x) is empty. workspace is the solvers.DrWorkspace
-    of compiled, built here when omitted. A shortcut residual or final
+    With the shortcut enabled, a state inside the terminal set returns the
+    feedback rollout u = F x (unconstrained_ne_sequence) with one iteration
+    and the residual r = ||E x||, E = M_ol F + qmap, without reading warm or
+    solving a QP. u is feasible there (with the terminal set's margin) and
+    the projection is nonexpansive, so r bounds u's natural residual; only
+    when r > cfg.tol does the step go on to DR. Raises Infeasible (annotated
+    with the state) when U_T(x) is empty. workspace is the
+    solvers.DrWorkspace of compiled, built here when omitted. A final
     projection that misses its KKT tolerance counts in the report's
     qp_not_optimal and turns ``converged`` into ``inner_inexact``.
     """
     cfg = cfg or solvers.SolverConfig()
     x = np.asarray(x, dtype=float).ravel()
+    t0 = time.perf_counter()
+    if terminal_shortcut and in_terminal_set(compiled, x):
+        u = unconstrained_ne_sequence(compiled, x)
+        r = float(np.linalg.norm(compiled.E @ x))
+        if r <= cfg.tol:
+            return compiled.first_stage(u), solvers.SolverReport(
+                solution=u, residuals=[r], iterations=1,
+                status=solvers.CONVERGED, wall_time=time.perf_counter() - t0,
+                algorithm="dr")
     problem = compiled.avi_at(x)
     if workspace is None:
         workspace = _workspace(compiled)
     if warm is None:
         warm = np.zeros(problem.dim)
     warm = np.asarray(warm, dtype=float).ravel()
-    t0 = time.perf_counter()
-    if terminal_shortcut and in_terminal_set(compiled, x):
-        sol = project(problem.C, warm - problem.F(warm),
-                      engine=workspace.resid_engine, solution=True)
-        r = float(np.linalg.norm(warm - sol.y))
-        if r <= cfg.tol:
-            report = solvers.SolverReport(
-                solution=warm.copy(), residuals=[r], iterations=1,
-                status=solvers.CONVERGED, wall_time=time.perf_counter() - t0,
-                algorithm="dr")
-            return compiled.first_stage(warm), _count_inner(report, sol)
     report = solvers.dr_solve(problem, cfg=cfg, warm=warm, workspace=workspace)
     applied = report.solution
     if not problem.C.contains(applied):
         sol = project(problem.C, applied, engine=workspace.resid_engine,
                       solution=True)
         applied = sol.y
-        _count_inner(report, sol)
+        if not sol.optimal:
+            report.qp_not_optimal += 1
+            if report.status == solvers.CONVERGED:
+                report.status = solvers.INNER_INEXACT
     return compiled.first_stage(applied), report
 
 

@@ -73,6 +73,18 @@ def simulate_states(A, B_list, x0, u_blocks):
     return np.array(xs)
 
 
+def feedback_rollout(K, A_cl, x0, horizon):
+    """The equilibrium feedback inputs u_i[t] = K_i x[t] along the closed
+    loop x[t + 1] = A_cl x[t] from x0, stepped one state at a time, for
+    t < horizon; stacked agent-major, time inner."""
+    x = np.asarray(x0, dtype=float).ravel()
+    states = []
+    for _ in range(horizon):
+        states.append(x)
+        x = A_cl @ x
+    return np.concatenate([np.ravel([Ki @ y for y in states]) for Ki in K])
+
+
 def stagewise_feasible(game, x0, u, tol=1e-9):
     """Membership of u in the horizon constraint set, checked stage by
     stage on the simulated trajectory (never through the stacked D)."""

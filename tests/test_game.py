@@ -12,8 +12,8 @@ from gamevi.errors import (InvalidSplitting, NoConvergence, NonFiniteData,
                            SingularA, SpecError)
 from gamevi.solvers import SolverConfig, dr_solve, make_dr_splitting
 
-from oracles import (finite_diff_gradient, simulate_states, stagewise_feasible,
-                     terminal_set_rollout)
+from oracles import (feedback_rollout, finite_diff_gradient, simulate_states,
+                     stagewise_feasible, terminal_set_rollout)
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -424,6 +424,32 @@ def test_unconstrained_ne_sequence_scalar_hand():
     x0 = 0.7
     seq = G.unconstrained_ne_sequence(c, [x0])
     assert seq == pytest.approx([k * x0, k * a_cl * x0], abs=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["small_game2", "crossroad4", "crossroad15"])
+def test_unconstrained_ne_sequence_matches_rollout_oracle(fixture, request):
+    c = request.getfixturevalue(fixture)[-1]
+    rng = np.random.default_rng(23)
+    for horizon in (1, c.game.T, 60):
+        for x in rng.normal(size=(3, c.game.n)):
+            want = feedback_rollout(c.riccati.K_ol, c.riccati.A_cl, x, horizon)
+            got = G.unconstrained_ne_sequence(c, x, horizon=horizon)
+            assert got.shape == want.shape
+            # matrix powers against repeated matvecs: round-off only
+            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+    x = rng.normal(size=c.game.n)
+    assert np.array_equal(G.unconstrained_ne_sequence(c, x), c.F @ x)
+    assert np.array_equal(c.E, c.M_ol @ c.F + c.qmap)
+
+
+def test_terminal_test_owns_its_tail_power(small_game2):
+    # A_cl^h used to be a view into the whole (h + 1) x n x n power stack
+    _, c = small_game2
+    for horizon in (50, 7):
+        tail = c._terminal_test(horizon)[3]
+        assert tail.flags.owndata
+        assert np.allclose(tail, np.linalg.matrix_power(c.riccati.A_cl, horizon),
+                           rtol=1e-12, atol=1e-15)
 
 
 def test_in_terminal_set_origin_and_violation(small_game2):

@@ -6,7 +6,8 @@ import pytest
 from gamevi import game as G
 from gamevi import qp, rhc, scenario
 from gamevi.errors import Infeasible
-from gamevi.solvers import INNER_INEXACT, DrWorkspace, SolverConfig
+from gamevi.avi import natural_residual
+from gamevi.solvers import INNER_INEXACT, DrWorkspace, SolverConfig, dr_solve
 
 from oracles import simulate_states, terminal_set_rollout
 
@@ -139,18 +140,90 @@ def degrade_projections(monkeypatch, workspace, only_tol=None):
     monkeypatch.setattr(workspace.resid_engine, "solve", degraded)
 
 
-def test_rhc_step_shortcut_reports_inexact_residual(small_game2, monkeypatch):
-    # the shortcut's residual projection used to drop its QP status, so the
-    # step read converged whatever the projection returned
+def count_qp_solves(monkeypatch):
+    """Record the iteration count of every QpEngine.solve call."""
+    calls = []
+    solve = qp.QpEngine.solve
+
+    def counting(self, *args, **kwargs):
+        sol = solve(self, *args, **kwargs)
+        calls.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(qp.QpEngine, "solve", counting)
+    return calls
+
+
+def test_rhc_step_shortcut_runs_no_qp(small_game2, monkeypatch):
+    # the closed form needs no QP, so not even a degraded engine can turn
+    # the step inexact; the warm start is not read
     g, c = small_game2
     x = 0.05 * np.random.default_rng(1).normal(size=g.n)
-    warm = G.unconstrained_ne_sequence(c, x)
+    calls = count_qp_solves(monkeypatch)
     ws = DrWorkspace(c.splitting, c.D)
     degrade_projections(monkeypatch, ws)
-    u0, report = rhc.rhc_step(c, x, warm, cfg(tol=1e-3), workspace=ws)
+    u0, report = rhc.rhc_step(c, x, np.full(g.input_dim, np.nan), cfg(tol=1e-3),
+                              workspace=ws)
+    assert calls == []
     assert report.iterations == 1
-    assert report.status == INNER_INEXACT and report.qp_not_optimal == 1
-    assert np.array_equal(u0, c.first_stage(warm))
+    assert report.converged and report.qp_not_optimal == 0
+    assert np.array_equal(report.solution, G.unconstrained_ne_sequence(c, x))
+    assert np.array_equal(u0, c.first_stage(report.solution))
+
+
+def sample_terminal_states(c, count, seed):
+    """Random states halved until the terminal set accepts them."""
+    rng = np.random.default_rng(seed)
+    states = []
+    while len(states) < count:
+        x = 0.3 * rng.normal(size=c.game.n)
+        for _ in range(30):
+            if G.in_terminal_set(c, x):
+                states.append(x)
+                break
+            x = 0.5 * x
+    return states
+
+
+@pytest.mark.parametrize("fixture", ["small_game2", "crossroad4", "crossroad15"])
+def test_rhc_step_shortcut_is_the_closed_form(fixture, request):
+    c = request.getfixturevalue(fixture)[-1]
+    engine = qp.QpEngine(np.eye(c.D.shape[1]), c.D)
+    for x in sample_terminal_states(c, 3, seed=17):
+        u0, report = rhc.rhc_step(c, x, None, cfg(tol=1e-3))
+        u = G.unconstrained_ne_sequence(c, x)
+        assert report.iterations == 1 and report.converged
+        assert np.array_equal(report.solution, u)
+        assert np.array_equal(u0, c.first_stage(u))
+        p = c.avi_at(x)
+        exact = dr_solve(p, SolverConfig(tol=1e-9, max_iter=3000, qp_tol=1e-11))
+        assert exact.converged
+        assert np.max(np.abs(exact.solution - u)) <= 1e-7
+        # ||E x|| bounds the natural residual, with equality while u - E x
+        # stays feasible; the two evaluations of M u + q then differ only
+        # by round-off
+        slack = 64 * np.finfo(float).eps * (
+            np.linalg.norm(c.M_ol, 2) * np.linalg.norm(u) + np.linalg.norm(p.q))
+        assert report.final_residual >= natural_residual(p, u, engine=engine) - slack
+
+
+@pytest.mark.parametrize("fixture", ["small_game2", "crossroad4", "crossroad15"])
+def test_rhc_step_shortcut_falls_through_below_its_residual(fixture, request,
+                                                            monkeypatch):
+    c = request.getfixturevalue(fixture)[-1]
+    calls = []
+    dr = rhc.solvers.dr_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dr(*args, **kwargs)
+
+    monkeypatch.setattr(rhc.solvers, "dr_solve", counting)
+    x = sample_terminal_states(c, 1, seed=19)[0]
+    assert np.linalg.norm(c.E @ x) > 1e-14
+    _, report = rhc.rhc_step(c, x, None, cfg(tol=1e-14, max_iter=2))
+    assert calls == [1]
+    assert report.iterations == 2 and not report.converged
 
 
 def test_rhc_step_reports_inexact_final_projection(crossroad4, monkeypatch):
@@ -253,22 +326,14 @@ def test_crossroad_fallback_calls_pinned(monkeypatch):
     # the same 60 steps: 68 inner solves need dual active-set steps from
     # their start set, not 129 as when every step started its inner solves
     # without warm duals; the DrWorkspace carries them from one step to the
-    # next
-    calls = []
-    solve = qp.QpEngine.solve
-
-    def counting(self, *args, **kwargs):
-        sol = solve(self, *args, **kwargs)
-        calls.append(sol.iterations)
-        return sol
-
-    monkeypatch.setattr(qp.QpEngine, "solve", counting)
+    # next. Steps 54-59 take the terminal shortcut, which solves no QP
+    calls = count_qp_solves(monkeypatch)
     spec = scenario.default_15_vehicle_spec()
     compiled = G.compile_vi(scenario.build_crossroad(spec, horizon=10))
     trace = rhc.simulate(compiled, scenario.default_initial_state(spec), 60,
                          cfg(tol=1e-3, max_iter=5000))
     assert sum(trace.solver_iterations) == 737
-    assert len(calls) == 1521 and sum(calls) == 68
+    assert len(calls) == 1515 and sum(calls) == 68
 
 
 def test_crossroad_full_run_pinned(crossroad15_run):
