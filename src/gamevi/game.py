@@ -23,6 +23,7 @@ Stage constraints come in two families:
   (x0 is measured, not decided, so it is assumed admissible).
 """
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -474,6 +475,10 @@ class CompiledGameVi:
         self.d0 = d0
         self.Dmap = Dmap
         self.splitting = splitting
+        # checked once here: polyhedron_at and avi_at copy these and check
+        # only what depends on the state
+        self._polyhedron = Polyhedron(D, d0)
+        self._avi = AviProblem(M_ol, np.zeros(M_ol.shape[0]), self._polyhedron)
         # constraint rows seen by the equilibrium feedback, G x + g <= 0:
         # the terminal-set test checks them along the closed loop
         G_mix = game.Ex + sum(game.Eu[i] @ riccati.K_ol[i] for i in range(game.N))
@@ -567,10 +572,24 @@ class CompiledGameVi:
         return self.d0 + self.Dmap @ np.asarray(x0, dtype=float).ravel()
 
     def polyhedron_at(self, x0):
-        return Polyhedron(self.D, self.offsets_at(x0))
+        """U_T(x0) = {u : D u + offsets_at(x0) <= 0}; D was checked at
+        compile time, so only the offsets are checked here."""
+        d = self.offsets_at(x0)
+        if not np.isfinite(d).all():
+            raise NonFiniteData("constraint offsets at x0 must be finite")
+        C = copy.copy(self._polyhedron)
+        C.d = d
+        return C
 
     def avi_at(self, x0):
-        return AviProblem(self.M_ol, self.q_of(x0), self.polyhedron_at(x0))
+        """AVI(U_T(x0), M_ol, q_of(x0)); M_ol was checked at compile time,
+        so only q and the offsets are checked here."""
+        q = self.q_of(x0)
+        if not np.isfinite(q).all():
+            raise NonFiniteData("q at x0 must be finite")
+        p = copy.copy(self._avi)
+        p.q, p.C = q, self.polyhedron_at(x0)
+        return p
 
     def predict(self, x0, u):
         """Stacked predicted states col(x[1], ..., x[T]) under the stacked

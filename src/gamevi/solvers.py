@@ -15,10 +15,15 @@ remaining algorithms (PGD, EXGD, NAGD, PRGD, aGRAAL) are projection-based
 baselines.
 
 Every solver is a generator of iterates driven by one loop, _Run.drive,
-which pulls at most cfg.max_iter iterates, records the natural residual with
-step 1 of each and stops at the first within cfg.tol, so iteration counts
-are directly comparable. A run that meets cfg.tol reports ``converged`` only
-when every inner QP solve (DR step (a), projections, residuals) met
+which pulls at most cfg.max_iter iterates, records for each the exact
+natural residual (step 1), or a certified lower bound above cfg.tol, and
+stops at the first whose residual is within cfg.tol, so iteration counts
+are directly comparable. The bound is free: since proj_C(.) lies in C, the
+residual of u is at least its distance to C, hence at least the violation
+of any row over its norm, one matvec. While DR's affine iterate is
+infeasible it usually exceeds cfg.tol, and the residual QP, which could not
+stop the run, is skipped. A run that meets cfg.tol reports ``converged``
+only when every inner QP solve (DR step (a), projections, residuals) met
 cfg.qp_tol, and ``inner_inexact`` otherwise.
 """
 
@@ -104,11 +109,15 @@ class SolverConfig:
             raise InvalidConfig(f"qp_tol must be positive and finite, got {self.qp_tol}")
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class SolverReport:
-    """Outcome of one solver run; residuals has one entry per iteration,
-    wall_time covers the iterations and qp_not_optimal counts the inner QP
-    solves that missed cfg.qp_tol."""
+    """Outcome of one solver run; residuals has one entry per iteration: the
+    exact natural residual, or a certified lower bound above tol where the
+    bool array lower_bound (one flag per entry) is set. lower_bound is None
+    when every entry is exact, and the last entry always is. wall_time
+    covers the iterations and qp_not_optimal counts the inner QP solves
+    that missed cfg.qp_tol. Slots and the None marks keep a report small
+    for callers that keep one per closed-loop step."""
     solution: np.ndarray
     residuals: list
     iterations: int
@@ -116,6 +125,7 @@ class SolverReport:
     wall_time: float
     algorithm: str = ""
     qp_not_optimal: int = 0
+    lower_bound: np.ndarray = None
 
     @property
     def converged(self):
@@ -126,20 +136,31 @@ class SolverReport:
         return self.residuals[-1]
 
 
+def _inverse_row_norms(D):
+    """1 / ||D_i|| for each row of D, and 0 for an all-zero row, which
+    bounds no distance."""
+    norms = np.linalg.norm(D, axis=1)
+    return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+
+
 class _Run:
     """One solver run: its configuration, projections and stopping loop.
 
     project(v, slot) projects onto the problem's polyhedron with the run's
     identity-metric engine, warm-starting each slot from its own last duals;
     the residual uses the slot "resid". Every inner solve goes through
-    inner, which counts those that miss cfg.qp_tol.
+    inner, which counts those that miss cfg.qp_tol. inv_norms are the
+    inverse row norms of C.D (_inverse_row_norms), computed here unless the
+    caller holds them.
     """
 
-    def __init__(self, p, cfg, algorithm, engine=None):
+    def __init__(self, p, cfg, algorithm, engine=None, inv_norms=None):
         self.p = p
         self.cfg = cfg or SolverConfig()
         self.algorithm = algorithm
         self.engine = engine or qp.QpEngine(np.eye(p.dim), p.C.D)
+        self.inv_norms = (_inverse_row_norms(p.C.D) if inv_norms is None
+                          else inv_norms)
         self.duals = {}
         self.b = -p.C.d
         self.not_optimal = 0
@@ -172,23 +193,47 @@ class _Run:
                                 f"(0, {upper:.3e}), got {lam}")
         return lam
 
+    def residual_bound(self, u):
+        """max_i (D_i u + d_i - qp_tol)_+ / ||D_i||, 0 when C has no rows.
+
+        The natural residual ||u - y||, y = proj_C(u - F(u)), is at least
+        (D_i u + d_i - (D_i y + d_i)) / ||D_i|| for every row i, and an inner
+        solve that meets qp_tol leaves D_i y + d_i <= qp_tol: so this bounds
+        both the exact residual and the one the residual QP would compute.
+        """
+        excess = (self.p.C.D @ u - self.b - self.cfg.qp_tol) * self.inv_norms
+        return float(np.max(excess, initial=0.0))
+
     def drive(self, iterates):
-        """Pull at most cfg.max_iter iterates, record the natural residual of
-        each, and stop at the first whose residual is within cfg.tol; that
-        stop is ``converged`` only if no inner solve missed cfg.qp_tol."""
+        """Pull at most cfg.max_iter iterates and record for each the exact
+        natural residual, or residual_bound where that exceeds cfg.tol (the
+        iterate cannot stop the run, so its residual QP is skipped); the
+        last iterate pulled is always exact. Stop at the first whose
+        residual is within cfg.tol; that stop is ``converged`` only if no
+        inner solve missed cfg.qp_tol."""
         t0 = time.perf_counter()
-        residuals, status = [], ITER_LIMIT
-        for u in itertools.islice(iterates, self.cfg.max_iter):
+        tol, last = self.cfg.tol, self.cfg.max_iter - 1
+        residuals, bounds, status = [], [], ITER_LIMIT
+        for k, u in enumerate(itertools.islice(iterates, self.cfg.max_iter)):
+            r = self.residual_bound(u)
+            if r > tol and k < last:
+                residuals.append(r)
+                bounds.append(k)
+                continue
             residuals.append(float(np.linalg.norm(
                 u - self.project(u - self.p.F(u), "resid"))))
-            if residuals[-1] <= self.cfg.tol:
+            if residuals[-1] <= tol:
                 status = INNER_INEXACT if self.not_optimal else CONVERGED
                 break
+        lower_bound = None
+        if bounds:
+            lower_bound = np.zeros(len(residuals), dtype=bool)
+            lower_bound[bounds] = True
         return SolverReport(
             solution=np.asarray(u, dtype=float).copy(), residuals=residuals,
             iterations=len(residuals), status=status,
             wall_time=time.perf_counter() - t0, algorithm=self.algorithm,
-            qp_not_optimal=self.not_optimal)
+            qp_not_optimal=self.not_optimal, lower_bound=lower_bound)
 
 
 def _start(p, warm):
@@ -209,8 +254,9 @@ class DrWorkspace:
     Built from the splitting of M (make_dr_splitting) and the constraint
     matrix D: holds the splitting, the LU factors of I + M2, the QP engine
     on I + M1 for the step-(a) solve, M2 - I, and the identity-metric engine
-    for residuals and projections; q and the constraint offsets d may vary
-    call to call, which is what the receding-horizon loop exploits. duals
+    for residuals and projections, and the inverse row norms of D behind
+    the residual bound; q and the constraint offsets d may vary call to
+    call, which is what the receding-horizon loop exploits. duals
     holds the last step-(a) multipliers (key "a") and residual multipliers
     ("resid") of the latest dr_solve through the workspace; the next one
     starts its inner solves from them, so consecutive receding-horizon steps
@@ -224,6 +270,7 @@ class DrWorkspace:
         self.lu_IM2 = scipy.linalg.lu_factor(eye + splitting.M2)
         self.step_engine = qp.QpEngine(eye + splitting.M1, D)
         self.resid_engine = qp.QpEngine(eye, D)
+        self.inv_norms = _inverse_row_norms(D)
         self.M2mI = splitting.M2 - eye
         self.duals = {}
 
@@ -235,7 +282,9 @@ def dr_solve(p, cfg=None, warm=None, workspace=None):
     min 0.5 y'(I+M1)y + (q + (M2 - I) u_k)' y over C; step (b) is the affine
     update u_{k+1} = (I + M2)^{-1} (y_k + M2 u_k) through the pre-factored
     I + M2. Stops when the natural residual drops to cfg.tol; the iteration
-    count equals the number of step-(a) solves performed.
+    count equals the number of step-(a) solves performed. The residual QP
+    runs only on iterates whose row-violation bound is within cfg.tol (and
+    on the last), so the iterates never depend on it.
 
     Parameters
     ----------
@@ -253,7 +302,8 @@ def dr_solve(p, cfg=None, warm=None, workspace=None):
     elif (workspace.step_engine.n != p.dim
           or workspace.step_engine.m != p.C.n_rows):
         raise InvalidConfig("workspace was built for a different problem shape")
-    run = _Run(p, cfg, "dr", engine=workspace.resid_engine)
+    run = _Run(p, cfg, "dr", engine=workspace.resid_engine,
+               inv_norms=workspace.inv_norms)
     run.duals = workspace.duals  # carried to the next solve
     M2 = workspace.splitting.M2
 
@@ -394,12 +444,16 @@ def write_residual_csv(rows, path):
 
     rows is an iterable of (algorithm, instance_id, SolverReport); one CSV
     line per iteration with the run's total wall time repeated per line.
+    lower_bound is 1 where the residual is a certified lower bound (above
+    tol) rather than the exact natural residual, and 0 otherwise.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "instance_id", "iteration", "residual",
-                         "wall_time_s"])
+                         "lower_bound", "wall_time_s"])
         for algorithm, instance_id, report in rows:
+            marks = report.lower_bound
             for it, r in enumerate(report.residuals, start=1):
+                bound = marks is not None and marks[it - 1]
                 writer.writerow([algorithm, instance_id, it, repr(float(r)),
-                                 f"{report.wall_time:.6f}"])
+                                 int(bound), f"{report.wall_time:.6f}"])

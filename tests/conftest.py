@@ -65,3 +65,19 @@ def small_game2():
     g = game.LqGame.from_stage_constraints(A, B, Q, R, T=4, Du=Du, du=du,
                                            Dx=Dx, dx=dx)
     return g, game.compile_vi(g)
+
+
+@pytest.fixture
+def residual_bounds(monkeypatch):
+    """Every solvers._Run.residual_bound call of the test, recorded as
+    (problem, iterate, bound)."""
+    seen = []
+    bound = solvers._Run.residual_bound
+
+    def recording(run, u):
+        r = bound(run, u)
+        seen.append((run.p, np.array(u), r))
+        return r
+
+    monkeypatch.setattr(solvers._Run, "residual_bound", recording)
+    return seen

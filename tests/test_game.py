@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 
 from gamevi import game as G
-from gamevi.avi import monotonicity_constants, natural_residual
+from gamevi.avi import (AviProblem, Polyhedron, monotonicity_constants,
+                        natural_residual)
 from gamevi.blockmat import blkdg, blkmat, build_gamma, kron
 from gamevi.errors import (InvalidSplitting, NoConvergence, NonFiniteData,
                            SingularA, SpecError)
@@ -323,6 +324,26 @@ def test_compile_zero_state_solution_is_zero(small_game2):
     g, c = small_game2
     p = c.avi_at(np.zeros(g.n))
     assert natural_residual(p, np.zeros(p.dim)) <= 1e-10
+
+
+def test_avi_at_checks_only_state_data(small_game2):
+    # avi_at gives the problem the constructors build, checking only what
+    # depends on the state; each call owns its q and offsets
+    g, c = small_game2
+    x = np.random.default_rng(7).normal(size=g.n)
+    p, other = c.avi_at(x), c.avi_at(2.0 * x)
+    want = AviProblem(c.M_ol, c.q_of(x), Polyhedron(c.D, c.offsets_at(x)))
+    for a, b in ((p.M, want.M), (p.q, want.q), (p.C.D, want.C.D), (p.C.d, want.C.d)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(other.C.d, c.offsets_at(2.0 * x))
+    assert not np.array_equal(p.C.d, other.C.d)
+    assert np.array_equal(c.polyhedron_at(x).d, p.C.d)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the matvecs
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteData):
+                c.avi_at(np.full(g.n, bad))
+            with pytest.raises(NonFiniteData):
+                c.polyhedron_at(np.full(g.n, bad))
 
 
 def test_compile_raises_invalid_splitting_with_mu():

@@ -323,17 +323,32 @@ def test_crossroad_iteration_count_pinned():
 
 
 def test_crossroad_fallback_calls_pinned(monkeypatch):
-    # the same 60 steps: 68 inner solves need dual active-set steps from
+    # the same 60 steps: 67 inner solves need dual active-set steps from
     # their start set, not 129 as when every step started its inner solves
     # without warm duals; the DrWorkspace carries them from one step to the
-    # next. Steps 54-59 take the terminal shortcut, which solves no QP
+    # next. Steps 54-59 take the terminal shortcut, which solves no QP, and
+    # a DR iteration solves its residual QP only where the row-violation
+    # bound is within tol
     calls = count_qp_solves(monkeypatch)
     spec = scenario.default_15_vehicle_spec()
     compiled = G.compile_vi(scenario.build_crossroad(spec, horizon=10))
     trace = rhc.simulate(compiled, scenario.default_initial_state(spec), 60,
                          cfg(tol=1e-3, max_iter=5000))
     assert sum(trace.solver_iterations) == 737
-    assert len(calls) == 1515 and sum(calls) == 68
+    assert len(calls) == 969 and sum(calls) == 67
+
+
+def test_crossroad_residual_bound_below_fresh_residual(crossroad15,
+                                                       residual_bounds):
+    # every DR-step iterate of the first crossroad steps: the row-violation
+    # bound never exceeds the residual recomputed with a fresh engine
+    spec, _, compiled = crossroad15
+    rhc.simulate(compiled, scenario.default_initial_state(spec), 8,
+                 cfg(tol=1e-3, max_iter=5000))
+    engine = qp.QpEngine(np.eye(compiled.D.shape[1]), compiled.D)
+    assert sum(r > 1e-3 for _, _, r in residual_bounds) > len(residual_bounds) // 2
+    for p, u, r in residual_bounds:
+        assert r <= natural_residual(p, u, engine=engine)
 
 
 def test_crossroad_full_run_pinned(crossroad15_run):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gamevi.avi import AviProblem, Polyhedron, monotonicity_constants, natural_residual
-from gamevi import qp
+from gamevi import qp, solvers
 from gamevi.errors import (InvalidConfig, InvalidSplitting, NonFiniteData,
                            NotStronglyMonotone)
 from gamevi.scenario import random_avi
@@ -13,7 +13,7 @@ from gamevi.solvers import (ALGORITHMS, CONVERGED, INNER_INEXACT, DrWorkspace,
                             make_dr_splitting, nagd_solve, pgd_solve,
                             prgd_solve, solve, write_residual_csv)
 
-from oracles import kkt_enumerate, loglinear_fit
+from oracles import dr_exact_residuals, kkt_enumerate, loglinear_fit
 
 
 def scalar_problem():
@@ -128,6 +128,102 @@ def test_dr_linear_convergence_tail():
     slope, r2 = loglinear_fit(tail)
     assert slope < 0
     assert r2 >= 0.9
+
+
+# ---------------------------------------------------------- residual bound
+
+def fresh_residual(p, u):
+    return natural_residual(p, u, engine=qp.QpEngine(np.eye(p.dim), p.C.D))
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_residual_bound_below_fresh_residual_random(i, residual_bounds):
+    p = random_avi(100, 20, seed=(0, i))
+    rep = dr_solve(p, cfg=SolverConfig(tol=1e-3, max_iter=5000))
+    assert rep.converged and len(residual_bounds) == rep.iterations
+    assert sum(r > 0.0 for _, _, r in residual_bounds) > rep.iterations // 2
+    for _, u, r in residual_bounds:
+        assert r <= fresh_residual(p, u)
+
+
+def test_residual_bound_skips_zero_rows(residual_bounds):
+    # an all-zero row bounds no distance: it must neither divide by zero
+    # nor enter the bound
+    base = random_avi(6, 5, seed=(77, 0))
+    D = np.vstack([base.C.D, np.zeros((1, 6))])
+    p = AviProblem(base.M, base.q, Polyhedron(D, np.append(base.C.d, -1.0)))
+    assert np.array_equal(solvers._inverse_row_norms(D)[-1:], [0.0])
+    rep = dr_solve(p, cfg=SolverConfig(tol=1e-8, max_iter=5000))
+    assert rep.converged and rep.lower_bound.any()
+    for _, u, r in residual_bounds:
+        assert np.isfinite(r) and r <= fresh_residual(p, u)
+
+
+def test_residual_bound_zero_without_rows(residual_bounds):
+    p = random_avi(10, 0, seed=41)
+    rep = dr_solve(p, cfg=SolverConfig(tol=1e-8, max_iter=5000))
+    assert rep.converged and rep.lower_bound is None
+    assert [r for _, _, r in residual_bounds] == [0.0] * rep.iterations
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dr_residuals_match_exact_oracle(seed):
+    """Against DR with the exact residual at every iterate: entries not
+    marked are that residual, marked ones lie below it, and the run stops
+    at the same iteration."""
+    p = random_avi(6, 5, seed=(77, seed))
+    tol = 1e-8
+    rep = dr_solve(p, cfg=SolverConfig(tol=tol, max_iter=5000, qp_tol=1e-12))
+    exact = np.array(dr_exact_residuals(p.M, p.q, p.C.D, p.C.d, tol, 5000))
+    got = np.array(rep.residuals)
+    mark = rep.lower_bound
+    assert rep.converged and mark.shape == got.shape == exact.shape
+    assert mark.any() and not mark[-1]
+    assert np.allclose(got[~mark], exact[~mark], rtol=1e-6, atol=1e-10)
+    assert np.all(got[mark] <= exact[mark])
+    assert np.all(got[mark] > tol)
+
+
+def test_dr_skips_most_residual_solves(monkeypatch):
+    p = random_avi(100, 20, seed=(0, 0))
+    ws = DrWorkspace(make_dr_splitting(p.M), p.C.D)
+    calls = []
+    resid_solve = ws.resid_engine.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return resid_solve(*args, **kwargs)
+
+    monkeypatch.setattr(ws.resid_engine, "solve", counted)
+    rep = dr_solve(p, cfg=SolverConfig(tol=1e-3, max_iter=5000), workspace=ws)
+    assert rep.converged and rep.iterations == 112
+    assert len(calls) == rep.iterations - int(rep.lower_bound.sum())
+    assert len(calls) < rep.iterations // 2
+
+
+def test_dr_final_residual_exact_at_iteration_limit():
+    # capped while the affine iterate is still infeasible: a skipped final
+    # iterate would report its row-violation bound, not its residual
+    p = random_avi(100, 20, seed=(0, 0))
+    rep = dr_solve(p, cfg=SolverConfig(tol=1e-3, max_iter=5))
+    exact = fresh_residual(p, rep.solution)
+    assert rep.status == "iter_limit" and not p.C.contains(rep.solution)
+    assert abs(rep.final_residual - exact) <= 1e-7
+    assert rep.lower_bound.tolist() == [True] * 4 + [False]
+    assert solvers._Run(p, None, "dr").residual_bound(rep.solution) < exact - 1e-3
+
+
+def test_residual_csv_marks_bound_entries(tmp_path):
+    p = random_avi(6, 5, seed=(77, 0))
+    reps = [dr_solve(p, cfg=SolverConfig(tol=1e-8, max_iter=5000)),
+            dr_solve(random_avi(10, 0, seed=41), cfg=SolverConfig(tol=1e-8))]
+    path = tmp_path / "traces.csv"
+    write_residual_csv([("dr", f"inst-{k}", r) for k, r in enumerate(reps)], path)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    marks = [int(r["lower_bound"]) for r in rows]
+    assert marks == reps[0].lower_bound.astype(int).tolist() + [0] * reps[1].iterations
+    assert [float(r["residual"]) for r in rows] == reps[0].residuals + reps[1].residuals
 
 
 # ---------------------------------------------------------------- baselines
@@ -447,7 +543,7 @@ def test_residual_csv_schema(tmp_path):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"algorithm", "instance_id", "iteration", "residual",
-                            "wall_time_s"}
+                            "lower_bound", "wall_time_s"}
     assert len(rows) == rep.iterations
     assert [int(r["iteration"]) for r in rows] == list(range(1, rep.iterations + 1))
     assert float(rows[-1]["residual"]) == rep.residuals[-1]
