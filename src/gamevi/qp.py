@@ -19,6 +19,7 @@ the only user of scipy.optimize, which is imported there.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import scipy.linalg
@@ -138,7 +139,7 @@ def _kkt_error(stationarity, violation, complementarity):
     certifies (Python's max() would drop it)."""
     terms = (float(np.abs(stationarity).max(initial=0.0)),
              float(violation.max(initial=0.0)), abs(float(complementarity)))
-    return max(terms) if np.isfinite(sum(terms)) else np.inf
+    return max(terms) if math.isfinite(sum(terms)) else np.inf
 
 
 class QpEngine:
@@ -184,10 +185,11 @@ class QpEngine:
         zero elsewhere, its status set by the KKT certificate: the primal
         violation is taken over every row, while stationarity and
         complementarity need only the active rows."""
-        violation = self.D @ y - b
+        violation = self.D @ y
+        violation -= b
         stationarity = (y if self._identity else self.P @ y) + c
-        err = _kkt_error(stationarity + lam_a @ self.D[active], violation,
-                         lam_a @ violation[active])
+        stationarity += lam_a @ self.D[active]
+        err = _kkt_error(stationarity, violation, lam_a @ violation[active])
         lam = np.zeros(self.m)
         lam[active] = lam_a
         return QpSolution(y, lam, err, OPTIMAL if err <= tol else ITER_LIMIT,
@@ -218,8 +220,10 @@ class QpEngine:
             if R is None:
                 break
             lam = dpotrs(R, violation[start])[0]
-            if (lam >= -1e-9 * max(1.0, float(np.abs(lam).max()))).all():
-                return start, np.maximum(lam, 0.0)
+            low = float(lam.min())
+            # max|lam| matters only when a multiplier is negative
+            if low >= 0.0 or low >= -1e-9 * max(1.0, -low, float(lam.max())):
+                return start, np.maximum(lam, 0.0, out=lam)
             start = start[lam >= 0.0]
         return start[:0], np.zeros(0)
 
@@ -252,18 +256,22 @@ class QpEngine:
                 or warm_dual is not None and np.size(warm_dual) != self.m):
             raise DimensionMismatch(f"c must have length {self.n}, and the "
                                     f"offsets b and warm_dual length {self.m}")
-        if not (np.isfinite(c).all() and np.isfinite(b).all()):
+        # a finite sum of squares proves every entry finite; only an
+        # overflowing one (numpy warns) needs the entrywise test
+        if not (math.isfinite(c @ c + b @ b)
+                or np.isfinite(c).all() and np.isfinite(b).all()):
             raise NonFiniteData("QP data c or b contain NaN or infinite entries")
 
         # Unconstrained minimizer already feasible: exact solution, zero duals.
         y_free = -c if self._identity else dpotrs(self._U, -c)[0]
-        violation = self.D @ y_free - b
+        violation = self.D @ y_free
+        violation -= b
         if (violation <= 0.0).all():
             return self._solution(c, b, y_free, np.zeros(0, int), np.zeros(0), tol, 0)
 
         start = (violation > 0.0 if warm_dual is None
                  else np.asarray(warm_dual, dtype=float).ravel() > 1e-12)
-        active, lam_a = self._dual_feasible(np.flatnonzero(start), violation)
+        active, lam_a = self._dual_feasible(start.nonzero()[0], violation)
         y = y_free - lam_a @ self._DPinv[active]
         sol = self._solution(c, b, y, active, lam_a, tol, 0)
         if sol.optimal:

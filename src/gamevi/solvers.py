@@ -34,6 +34,7 @@ import time
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf
 
 from . import qp
 from .avi import monotonicity_constants
@@ -65,15 +66,19 @@ def make_dr_splitting(M):
 
     Valid whenever the symmetric part of M is positive definite: M1 is then
     symmetric PSD, and M2 = M1 + (M - M')/2 has symmetric part M1, hence a
-    positive definite M2, so the DR iteration converges linearly. Raises
-    InvalidSplitting, carrying mu, when that condition fails.
+    positive definite M2, so the DR iteration converges linearly. The test
+    is one Cholesky factorization of M + M' (twice the symmetric part, an
+    exact scaling); when it fails, InvalidSplitting is raised carrying mu,
+    the smallest eigenvalue of the symmetric part, which only then is
+    computed.
     """
     M = np.asarray(M, dtype=float)
-    mu = float(np.linalg.eigvalsh((M + M.T) / 2.0)[0])
-    if mu <= 0:
+    S = M + M.T
+    if dpotrf(S, overwrite_a=False)[1]:
+        mu = float(np.linalg.eigvalsh(S / 2.0)[0])
         raise InvalidSplitting(
             f"symmetric part of M is not positive definite (min eig {mu:.3e})", mu=mu)
-    M1 = (M + M.T) * 0.25
+    M1 = S * 0.25
     M2 = M - M1
     if not np.array_equal(M1 + M2, M):
         # one correction pass restores bitwise M1 + M2 == M
@@ -201,8 +206,13 @@ class _Run:
         solve that meets qp_tol leaves D_i y + d_i <= qp_tol: so this bounds
         both the exact residual and the one the residual QP would compute.
         """
-        excess = (self.p.C.D @ u - self.b - self.cfg.qp_tol) * self.inv_norms
-        return float(np.max(excess, initial=0.0))
+        # in place, in the order D u - b - qp_tol: a precomputed b + qp_tol
+        # would move the bound's last bits
+        excess = self.p.C.D @ u
+        excess -= self.b
+        excess -= self.cfg.qp_tol
+        excess *= self.inv_norms
+        return float(excess.max(initial=0.0))
 
     def drive(self, iterates):
         """Pull at most cfg.max_iter iterates and record for each the exact
@@ -312,7 +322,8 @@ def dr_solve(p, cfg=None, warm=None, workspace=None):
             sol = run.inner(workspace.step_engine, p.q + workspace.M2mI @ u,
                             run.duals.get("a"))
             run.duals["a"] = sol.lam
-            u = scipy.linalg.lu_solve(workspace.lu_IM2, sol.y + M2 @ u)
+            u = scipy.linalg.lu_solve(workspace.lu_IM2, sol.y + M2 @ u,
+                                      check_finite=False)
             yield u
 
     return run.drive(iterates(_start(p, warm)))

@@ -4,9 +4,12 @@
 which their callers look them up (`perfbench/tracing.py`) and fails when a
 required wrapper never fires. This runs a small version of both workloads
 under that tracer, so a rename that breaks the hooks fails here too and
-not only in the slow benchmark self-test.
+not only in the slow benchmark self-test. It also checks that the step-(b)
+and QP spans count the calls the DR loop makes, so that neither can be
+bypassed while its name still fires.
 """
 
+import collections
 import importlib.util
 from pathlib import Path
 
@@ -38,8 +41,16 @@ def test_benchmark_trace_hooks_fire():
             gamevi.rhc.simulate(compiled, x0, 10, cfg)
         with tracer.root("random_avi", run=1):
             p = gamevi.scenario.random_avi(20, 5, seed=0)
-            assert gamevi.solvers.dr_solve(p, cfg=cfg).converged
+            report = gamevi.solvers.dr_solve(p, cfg=cfg)
+            assert report.converged
     fired = [{s[0] for s in tracer.spans if s[4] == run} for run in (0, 1)]
     for run, workload in enumerate(("crossroad15", "random_avi_dr")):
         missing = set(tracing.REQUIRED[workload]) - fired[run]
         assert not missing, f"{workload}: wrappers never fired: {sorted(missing)}"
+    # one step-(b) solve per DR iteration; one step-(a) QP per iteration plus
+    # one residual QP per exact residual entry
+    spans = collections.Counter(s[0] for s in tracer.spans if s[4] == 1)
+    exact = report.iterations - (0 if report.lower_bound is None
+                                 else int(report.lower_bound.sum()))
+    assert spans["solvers.stepb_lu_solve"] == report.iterations
+    assert spans["qp.QpEngine.solve"] == report.iterations + exact

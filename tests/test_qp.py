@@ -325,6 +325,17 @@ def test_non_finite_data_rejected():
         QpEngine(np.eye(2), np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+def test_finite_data_with_overflowing_square_sum_accepted():
+    # the engine's finiteness test first sums c'c + b'b, which overflows
+    # (with numpy's warning) here; only then is each entry tested
+    engine = QpEngine(np.eye(2), np.eye(2))
+    sol = engine.solve(np.array([-1e200, 1.0]), b=np.array([1e200, 0.0]))
+    assert sol.optimal and np.array_equal(sol.y, [1e200, -1.0])
+    with pytest.raises(NonFiniteData):
+        engine.solve(np.array([-1e200, 1.0]), b=np.array([1e200, -np.inf]))
+
+
 @pytest.mark.parametrize("position", [0, 1, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_kkt_certificate_rejects_non_finite_terms(position, bad):

@@ -43,6 +43,32 @@ def test_make_dr_splitting_rejects_skew():
     assert err.value.mu is not None and err.value.mu <= 0
 
 
+def test_make_dr_splitting_rejects_indefinite_with_mu():
+    # symmetric part [[1, 1], [1, -1]], eigenvalues -sqrt(2) and sqrt(2):
+    # indefinite, not skew, so the failed factorization is not at a zero
+    # pivot, and the smallest eigenvalue rides along
+    with pytest.raises(InvalidSplitting) as err:
+        make_dr_splitting(np.array([[1.0, 2.0], [0.0, -1.0]]))
+    assert err.value.mu == pytest.approx(-np.sqrt(2.0), rel=1e-12)
+
+
+def test_make_dr_splitting_accepts_barely_definite():
+    # symmetric part with smallest eigenvalue 1e-8 plus a skew part: the
+    # Cholesky test accepts it, and the splitting is M1 = (M + M')/4,
+    # M2 = M - M1 bit for bit
+    rng = np.random.default_rng(8)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    K = rng.normal(size=(6, 6))
+    M = Q @ np.diag([1e-8, 0.1, 0.5, 1.0, 2.0, 3.0]) @ Q.T + (K - K.T)
+    assert 0.0 < np.linalg.eigvalsh((M + M.T) / 2.0)[0] < 2e-8
+    s = make_dr_splitting(M)
+    M1 = (M + M.T) * 0.25
+    M2 = M - M1
+    if not np.array_equal(M1 + M2, M):
+        M1 = M - M2
+    assert np.array_equal(s.M1, M1) and np.array_equal(s.M2, M2)
+
+
 def test_splitting_identities():
     rng = np.random.default_rng(0)
     for seed in range(5):
