@@ -70,10 +70,10 @@ class SpecError(GameViError, ValueError):
 @contextlib.contextmanager
 def spec_file(path, names):
     """Yield the JSON object read from ``path`` once it has the fields
-    ``names``. An unparsable file, a missing field, and a TypeError or
-    ValueError raised while the body converts the values (a string where a
-    number belongs, a ragged matrix) raise SpecError naming the file; the
-    package's own errors pass through."""
+    ``names``. An unparsable file, a missing field, and a KeyError, TypeError
+    or ValueError raised while the body converts the values (a record without
+    a field, a string where a number belongs, a ragged matrix) raise
+    SpecError naming the file; the package's own errors pass through."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -83,5 +83,7 @@ def spec_file(path, names):
         yield payload
     except GameViError:
         raise
+    except KeyError as exc:
+        raise SpecError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{path}: {exc}") from exc

@@ -6,7 +6,7 @@ polyhedral stage constraints. Over a horizon T the open-loop equilibrium
 problem condenses (after eliminating the state with the prediction matrices
 Theta, Gamma_i) to an affine VI whose operator matrix is
 
-    M = blkdg(Rbar_i) + blkmat(Gamma_i' Qbar_i Gamma_j),
+    M = blkdg(Rbar_i) + [Gamma_i' Qbar_i Gamma_j]_ij,
     Rbar_i = I_T kron R_i,   Qbar_i = blkdg(I_{T-1} kron Q_i, P_i),
 
 where P_i comes from the coupled algebraic Riccati equations of the
@@ -30,10 +30,10 @@ import json
 
 import numpy as np
 import scipy.linalg
+from numpy import kron
 
 from . import qp
 from .avi import AviProblem, Polyhedron
-from .blockmat import blkdg, build_gamma, build_theta, kron
 from .errors import (DimensionMismatch, NoConvergence, NonFiniteData, SingularA,
                      spec_file)
 from .solvers import make_dr_splitting
@@ -51,6 +51,55 @@ def _matrices(items, name):
     out = [np.atleast_2d(np.asarray(m, dtype=float)) for m in items]
     if not out:
         raise DimensionMismatch(f"{name} must be a non-empty list")
+    return out
+
+
+# kron, blkdg, build_theta and build_gamma stay module globals that callers
+# look up at call time: perfbench/tracing.py wraps them here to time the
+# VI assembly.
+
+def blkdg(blocks):
+    """Block-diagonal stack of a list of matrices; off-diagonal fill is
+    exactly zero."""
+    out = np.zeros((sum(b.shape[0] for b in blocks),
+                    sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
+
+
+def build_theta(a, horizon):
+    """Stacked state predictor col(A^1, ..., A^T): predicts x[1..T] from x0,
+    i.e. powers start at one."""
+    n = a.shape[0]
+    out = np.zeros((n * horizon, n))
+    a_pow = a
+    for t in range(horizon):
+        out[t * n:(t + 1) * n, :] = a_pow
+        if t + 1 < horizon:
+            a_pow = a_pow @ a
+    return out
+
+
+def build_gamma(a, b, horizon):
+    """Lower block-triangular input-to-state map for x[1..T].
+
+    Block (r, c), one-indexed with r >= c, equals A^(r-c) B; the block
+    diagonal is B itself. Column c collects the effect of the input applied
+    at stage c-1.
+    """
+    n, m = b.shape
+    out = np.zeros((n * horizon, m * horizon))
+    # first block column: col(B, AB, ..., A^{T-1} B); later columns repeat it shifted
+    col = np.zeros((n * horizon, m))
+    col[0:n, :] = b
+    for r in range(1, horizon):
+        col[r * n:(r + 1) * n, :] = a @ col[(r - 1) * n:r * n, :]
+    for c in range(horizon):
+        out[c * n:, c * m:(c + 1) * m] = col[:(horizon - c) * n, :]
     return out
 
 
@@ -201,8 +250,7 @@ def solve_coupled_riccati(game, tol=1e-10, max_iter=10_000):
     n, N, offs = game.n, game.N, game.offsets
     P = Q.copy()
     Bs = np.hstack(game.B)
-    RinvBt = scipy.linalg.block_diag(
-        *[np.linalg.solve(game.R[i], game.B[i].T) for i in range(N)])
+    RinvBt = blkdg([np.linalg.solve(game.R[i], game.B[i].T) for i in range(N)])
     I_m = np.eye(offs[-1])
 
     def sweep_K(P):
@@ -260,7 +308,7 @@ def build_augmented(game, riccati):
         A_hat = np.block([[game.A, drift],
                           [np.zeros((n, n)), riccati.A_cl]])
         B_hat = np.vstack([game.B[i], np.zeros((n, game.m[i]))])
-        Q_hat = blkdg(game.Q[i], np.zeros((n, n)))
+        Q_hat = blkdg([game.Q[i], np.zeros((n, n))])
         out.append((A_hat, B_hat, Q_hat))
     return out
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import solvers
 from .avi import project
-from .errors import Infeasible
+from .errors import Infeasible, NonFiniteData, SpecError, spec_file
 from .game import in_terminal_set, unconstrained_ne_sequence
 
 __all__ = ["ClosedLoopTrace", "shift_warm_start", "rhc_step", "simulate",
@@ -45,11 +45,6 @@ class ClosedLoopTrace:
 
     def min_margin(self):
         return float(np.min(self.constraint_margins, initial=np.inf))
-
-
-def _workspace(compiled):
-    """DR factorizations shared by every step of one closed-loop run."""
-    return solvers.DrWorkspace(compiled.splitting, compiled.D)
 
 
 def shift_warm_start(prev, compiled, prev_x):
@@ -110,7 +105,7 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True
                 algorithm="dr")
     problem = compiled.avi_at(x)
     if workspace is None:
-        workspace = _workspace(compiled)
+        workspace = solvers.DrWorkspace(compiled.splitting, compiled.D)
     if warm is None:
         warm = np.zeros(problem.dim)
     warm = np.asarray(warm, dtype=float).ravel()
@@ -151,7 +146,7 @@ def simulate(compiled, x0, steps, cfg=None, terminal_shortcut=True):
     cfg = cfg or solvers.SolverConfig()
     game = compiled.game
     x = np.asarray(x0, dtype=float).ravel().copy()
-    workspace = _workspace(compiled)
+    workspace = solvers.DrWorkspace(compiled.splitting, compiled.D)
     states = np.zeros((steps + 1, game.n))
     offs = game.offsets
     inputs = np.zeros((steps, offs[-1]))
@@ -215,27 +210,31 @@ def write_trace_json(trace, path):
 
 
 def read_trace_json(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    records = payload["steps"]
-    steps = len(records)
-    if steps == 0:
-        raise ValueError("trace has no steps")
-    n = len(records[0]["x"])
-    states = np.zeros((steps + 1, n))
-    inputs = np.zeros((steps, len(records[0]["u"])))
-    margins = np.zeros((steps, len(records[0]["margins"])))
-    iterations, residuals, statuses = [], [], []
-    for t, rec in enumerate(records):
-        states[t] = rec["x"]
-        inputs[t] = rec["u"]
-        iterations.append(int(rec["iterations"]))
-        residuals.append(float(rec["residual"]))
-        margins[t] = rec["margins"]
-        statuses.append(rec.get("status", ""))
-    states[steps] = payload["final_state"]
-    return ClosedLoopTrace(states, inputs, iterations, residuals, margins,
-                           statuses, payload.get("meta", {}))
+    """Inverse of write_trace_json. A malformed file raises SpecError naming
+    it, and a NaN or infinite number raises NonFiniteData."""
+    with spec_file(path, ("steps", "final_state")) as payload:
+        records = payload["steps"]
+        steps = len(records)
+        if steps == 0:
+            raise SpecError(f"{path}: trace has no steps")
+        n = len(records[0]["x"])
+        states = np.zeros((steps + 1, n))
+        inputs = np.zeros((steps, len(records[0]["u"])))
+        margins = np.zeros((steps, len(records[0]["margins"])))
+        iterations, residuals, statuses = [], [], []
+        for t, rec in enumerate(records):
+            states[t] = rec["x"]
+            inputs[t] = rec["u"]
+            iterations.append(int(rec["iterations"]))
+            residuals.append(float(rec["residual"]))
+            margins[t] = rec["margins"]
+            statuses.append(rec.get("status", ""))
+        states[steps] = payload["final_state"]
+        if not all(np.all(np.isfinite(a))
+                   for a in (states, inputs, margins, residuals)):
+            raise NonFiniteData(f"{path}: trace contains NaN or infinite values")
+        return ClosedLoopTrace(states, inputs, iterations, residuals, margins,
+                               statuses, payload.get("meta", {}))
 
 
 def write_iterations_csv(trace, path):

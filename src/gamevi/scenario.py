@@ -26,7 +26,7 @@ import json
 import numpy as np
 
 from .avi import AviProblem, Polyhedron
-from .errors import SpecError
+from .errors import SpecError, spec_file
 from .game import LqGame
 
 __all__ = [
@@ -145,9 +145,8 @@ class CrossroadSpec:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            payload = json.load(fh)
-        return cls(**payload)
+        with spec_file(path, ("directions",)) as payload:
+            return cls(**payload)
 
 
 def default_15_vehicle_spec():

@@ -1,6 +1,7 @@
 import csv
 import importlib.resources
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ def test_solve_infeasible_error_json(tmp_path):
 
 
 def non_finite_problem(tmp_path):
-    payload = json.loads(open(SAMPLE).read())
+    payload = json.loads(Path(SAMPLE).read_text())
     payload["q"][0] = float("nan")
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(payload))
@@ -396,7 +397,7 @@ def test_validate_malformed_files_error_json(tmp_path, capsys):
         "A": [[0.5]], "B": [[[1.0]]], "Q": [[[1.0]]], "R": [[[1.0]]],
         "T": "x"}))
     problem_file = tmp_path / "truncated.json"
-    problem_file.write_text(open(SAMPLE).read()[:-5])
+    problem_file.write_text(Path(SAMPLE).read_text()[:-5])
     for flag, path in (("--game", game_file), ("--problem", problem_file)):
         rc = cli.main(["validate", flag, str(path)])
         assert rc == 1

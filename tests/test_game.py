@@ -8,9 +8,8 @@ import scipy.linalg
 from gamevi import game as G
 from gamevi.avi import (AviProblem, Polyhedron, monotonicity_constants,
                         natural_residual)
-from gamevi.blockmat import blkdg, blkmat, build_gamma, kron
-from gamevi.errors import (InvalidSplitting, NoConvergence, NonFiniteData,
-                           SingularA, SpecError)
+from gamevi.errors import (DimensionMismatch, InvalidSplitting, NoConvergence,
+                           NonFiniteData, SingularA, SpecError)
 from gamevi.solvers import SolverConfig, dr_solve, make_dr_splitting
 
 from oracles import (feedback_rollout, finite_diff_gradient, simulate_states,
@@ -36,6 +35,17 @@ def random_stable_game(rng, n=3, N=2, T=4, r_scale=4.0):
     return G.LqGame(A, B, Q, R, T=T)
 
 
+@pytest.mark.parametrize("A, B, T", [
+    (np.zeros((2, 3)), np.zeros((2, 1)), 2),   # non-square A
+    (np.eye(2), np.zeros((3, 1)), 2),          # B height differs from n
+    (np.eye(2), np.zeros((2, 1)), 0),          # empty horizon
+], ids=["A-not-square", "B-height", "T-zero"])
+def test_lq_game_rejects_shapes_the_predictors_need(A, B, T):
+    """build_theta and build_gamma rely on these checks at the game boundary."""
+    with pytest.raises(DimensionMismatch):
+        G.LqGame(A, [B], [np.eye(2)], [np.eye(1)], T=T)
+
+
 def test_lq_game_rejects_non_finite_data():
     one = [[1.0]]
     parts = {"A": one, "B": [one], "Q": [one], "R": [one], "Ex": one,
@@ -49,6 +59,116 @@ def test_lq_game_rejects_non_finite_data():
     with pytest.raises(NonFiniteData):
         G.LqGame.from_stage_constraints(one, [one], [one], [one], T=2,
                                         Du=[one], du=[np.inf])
+
+
+# -------------------------------------------------- prediction and blocks
+
+def test_kron_identity_times_scalar():
+    assert np.array_equal(G.kron(np.eye(2), np.array([[5.0]])), np.diag([5.0, 5.0]))
+
+
+def test_kron_scalar_identity_factor():
+    B = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    assert np.array_equal(G.kron(np.eye(1), B), B)
+
+
+def test_kron_expansion_by_definition():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    out = G.kron(a, np.eye(2))
+    expected = np.zeros((4, 4))
+    for i in range(2):
+        for j in range(2):
+            expected[2 * i:2 * i + 2, 2 * j:2 * j + 2] = a[i, j] * np.eye(2)
+    assert np.array_equal(out, expected)
+
+
+def test_kron_of_identities_is_identity():
+    assert np.array_equal(G.kron(np.eye(3), np.eye(4)), np.eye(12))
+
+
+def test_blkdg_single_block():
+    assert np.array_equal(G.blkdg([np.eye(2)]), np.eye(2))
+
+
+def test_blkdg_rectangular_fill():
+    a = np.arange(6.0).reshape(2, 3)
+    b = np.array([[7.0]])
+    out = G.blkdg([a, b])
+    assert out.shape == (3, 4)
+    assert np.array_equal(out[:2, :3], a)
+    assert out[2, 3] == 7.0
+    assert np.count_nonzero(out) == np.count_nonzero(a) + 1
+
+
+def test_blkdg_of_identities_is_identity():
+    assert np.array_equal(G.blkdg([np.eye(2), np.eye(3), np.eye(1)]), np.eye(6))
+
+
+def test_blkdg_accepts_list_argument():
+    assert np.array_equal(G.blkdg([np.eye(1), np.eye(1)]), np.eye(2))
+
+
+def test_build_theta_scalar_powers():
+    out = G.build_theta(np.array([[2.0]]), 3)
+    assert np.array_equal(out, [[2.0], [4.0], [8.0]])
+
+
+def test_build_theta_identity():
+    out = G.build_theta(np.eye(3), 4)
+    assert np.array_equal(out, np.vstack([np.eye(3)] * 4))
+
+
+def test_build_theta_double_integrator():
+    a = np.array([[1.0, 0.1], [0.0, 1.0]])
+    out = G.build_theta(a, 2)
+    assert np.allclose(out[:2], a)
+    assert np.allclose(out[2:], [[1.0, 0.2], [0.0, 1.0]])
+
+
+def test_build_gamma_scalar_rollout():
+    one = np.array([[1.0]])
+    assert np.array_equal(G.build_gamma(one, one, 2), [[1.0, 0.0], [1.0, 1.0]])
+
+
+def test_build_gamma_zero_input_matrix():
+    out = G.build_gamma(np.eye(2), np.zeros((2, 1)), 3)
+    assert np.array_equal(out, np.zeros((6, 3)))
+
+
+def test_build_gamma_scalar_powers():
+    out = G.build_gamma(np.array([[2.0]]), np.array([[1.0]]), 3)
+    assert np.array_equal(out, [[1.0, 0.0, 0.0], [2.0, 1.0, 0.0], [4.0, 2.0, 1.0]])
+
+
+def test_build_gamma_toeplitz_structure():
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(3, 3))
+    b = rng.normal(size=(3, 2))
+    T = 5
+    out = G.build_gamma(a, b, T)
+    first_col = out[:, :2]
+    for c in range(T):
+        block = out[:, 2 * c:2 * (c + 1)]
+        assert np.array_equal(block[3 * c:], first_col[:3 * (T - c)])
+        assert np.array_equal(block[:3 * c], np.zeros((3 * c, 2)))
+
+
+def test_rollout_identity_random_systems():
+    """col(x[1..T]) must equal Theta x0 + sum_i Gamma_i u_i on simulations."""
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        n = rng.integers(1, 4)
+        N = rng.integers(1, 4)
+        T = rng.integers(1, 6)
+        a = rng.normal(size=(n, n))
+        bs = [rng.normal(size=(n, rng.integers(1, 3))) for _ in range(N)]
+        x0 = rng.normal(size=n)
+        u_blocks = [rng.normal(size=(T, b.shape[1])) for b in bs]
+        xs = simulate_states(a, bs, x0, u_blocks)
+        stacked = G.build_theta(a, T) @ x0
+        for b, u in zip(bs, u_blocks):
+            stacked = stacked + G.build_gamma(a, b, T) @ u.ravel()
+        assert np.allclose(stacked, xs[1:].ravel(), atol=1e-12, rtol=1e-12)
 
 
 # ------------------------------------------------------------ coupled ARE
@@ -122,10 +242,10 @@ def test_build_augmented_single_agent_layout():
     g = scalar_game()
     r = G.solve_coupled_riccati(g)
     (A_hat, B_hat, Q_hat), = G.build_augmented(g, r)
-    assert np.allclose(A_hat, blkdg(g.A, r.A_cl))
+    assert np.allclose(A_hat, G.blkdg([g.A, r.A_cl]))
     assert A_hat[0, 1] == 0.0
     assert np.allclose(B_hat, [[1.0], [0.0]])
-    assert np.allclose(Q_hat, blkdg(g.Q[0], np.zeros((1, 1))))
+    assert np.allclose(Q_hat, G.blkdg([g.Q[0], np.zeros((1, 1))]))
 
 
 def test_build_augmented_zero_gains():
@@ -133,7 +253,7 @@ def test_build_augmented_zero_gains():
     g = G.LqGame(0.5 * one, [one], [np.zeros((1, 1))], [one], T=2)
     r = G.solve_coupled_riccati(g)
     (A_hat, _, _), = G.build_augmented(g, r)
-    assert np.allclose(A_hat, blkdg(g.A, g.A))
+    assert np.allclose(A_hat, G.blkdg([g.A, g.A]))
 
 
 def test_build_augmented_two_agent_block_placement():
@@ -356,15 +476,15 @@ def test_compile_raises_invalid_splitting_with_mu():
 
 def test_eq24_block_splitting_identity(small_game2):
     """(M + M')/4 equals the agent-block formula
-    blkdg(Rbar_i/2) + blkmat(Gamma_i'(Qbar_i + Qbar_j')Gamma_j/4)."""
+    blkdg(Rbar_i/2) + [Gamma_i'(Qbar_i + Qbar_j')Gamma_j/4]_ij."""
     g, c = small_game2
     s = make_dr_splitting(c.M_ol)
     T = g.T
-    Qbar = [blkdg([g.Q[i]] * (T - 1) + [c.riccati.P_ol[i]]) for i in range(g.N)]
-    Rbar = [kron(np.eye(T), g.R[i]) for i in range(g.N)]
+    Qbar = [G.blkdg([g.Q[i]] * (T - 1) + [c.riccati.P_ol[i]]) for i in range(g.N)]
+    Rbar = [np.kron(np.eye(T), g.R[i]) for i in range(g.N)]
     grid = [[c.gammas[i].T @ (Qbar[i] + Qbar[j].T) @ c.gammas[j] / 4.0
              for j in range(g.N)] for i in range(g.N)]
-    M1_blocks = blkdg([Rb / 2.0 for Rb in Rbar]) + blkmat(grid)
+    M1_blocks = G.blkdg([Rb / 2.0 for Rb in Rbar]) + np.block(grid)
     assert np.max(np.abs(s.M1 - M1_blocks)) <= 1e-12 * max(1, np.max(np.abs(s.M1)))
 
 
@@ -385,7 +505,7 @@ def test_predict_and_first_stage_match_per_agent_oracle(fixture, request):
     g, c = request.getfixturevalue(fixture)[-2:]
     rng = np.random.default_rng(9)
     for i in range(g.N):
-        assert np.array_equal(c.gammas[i], build_gamma(g.A, g.B[i], g.T))
+        assert np.array_equal(c.gammas[i], G.build_gamma(g.A, g.B[i], g.T))
     for _ in range(5):
         x0 = rng.normal(size=g.n)
         u = rng.normal(size=g.input_dim)

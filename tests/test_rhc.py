@@ -1,11 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from gamevi import game as G
 from gamevi import qp, rhc, scenario
-from gamevi.errors import Infeasible
+from gamevi.errors import Infeasible, NonFiniteData, SpecError
 from gamevi.avi import natural_residual
 from gamevi.solvers import INNER_INEXACT, DrWorkspace, SolverConfig, dr_solve
 
@@ -428,6 +429,40 @@ def test_trace_json_round_trip(tmp_path, small_game2):
     assert back.residual_at_termination == trace.residual_at_termination
     assert isinstance(back.constraint_margins, np.ndarray)
     assert np.array_equal(back.constraint_margins, trace.constraint_margins)
+
+
+def _edit_trace(payload, edit):
+    """Apply one named corruption to a written trace payload."""
+    steps = payload["steps"]
+    if edit == "truncated":
+        return json.dumps(payload)[:-5]
+    if edit == "empty":
+        payload["steps"] = []
+    elif edit == "ragged-x":
+        steps[1]["x"] = steps[1]["x"][:-1]
+    elif edit == "missing-field":
+        del steps[1]["margins"]
+    elif edit == "no-final-state":
+        del payload["final_state"]
+    elif edit == "nan-state":
+        steps[1]["x"][0] = float("nan")
+    elif edit == "inf-residual":
+        steps[1]["residual"] = float("inf")
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("edit, error", [
+    ("truncated", SpecError), ("empty", SpecError), ("ragged-x", SpecError),
+    ("missing-field", SpecError), ("no-final-state", SpecError),
+    ("nan-state", NonFiniteData), ("inf-residual", NonFiniteData)])
+def test_read_trace_json_rejects_malformed_file(tmp_path, small_game2, edit,
+                                                error):
+    g, c = small_game2
+    path = tmp_path / "trace.json"
+    rhc.write_trace_json(rhc.simulate(c, np.zeros(g.n), 3, cfg()), path)
+    path.write_text(_edit_trace(json.loads(path.read_text()), edit))
+    with pytest.raises(error, match="trace.json"):
+        rhc.read_trace_json(path)
 
 
 def test_iterations_csv_format(tmp_path, small_game2):

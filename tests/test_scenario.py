@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,22 @@ def test_spec_json_round_trip(tmp_path):
     spec.to_json(path)
     back = CrossroadSpec.from_json(path)
     assert back == spec
+
+
+GOOD_SPEC = {"directions": ["NS", "ES"], "tau": 0.1}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(GOOD_SPEC)[:-5],                     # truncated file
+    json.dumps(dict(GOOD_SPEC, speed=3.0)),         # unknown key
+    json.dumps(dict(GOOD_SPEC, tau="x")),           # wrong JSON type
+    json.dumps({"tau": 0.1}),                       # missing directions
+], ids=["truncated", "unknown-key", "tau-string", "no-directions"])
+def test_spec_from_json_malformed_file_raises_spec_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SpecError, match="bad.json"):
+        CrossroadSpec.from_json(path)
 
 
 # ------------------------------------------------------------- game assembly
