@@ -8,7 +8,7 @@ from .avi import (AviProblem, Polyhedron, monotonicity_constants,
 from .game import (CompiledGameVi, LqGame, best_response, check_care_solvability,
                    compile_vi, in_terminal_set, solve_are,
                    solve_coupled_riccati, unconstrained_ne_sequence)
-from .qp import QpProblem, QpSolution, solve_qp
+from .qp import QpSolution
 from .rhc import ClosedLoopTrace, rhc_step, shift_warm_start, simulate
 from .scenario import (CrossroadSpec, build_crossroad, default_15_vehicle_spec,
                        random_avi)
@@ -22,7 +22,7 @@ __all__ = [
     "CompiledGameVi", "LqGame", "best_response", "check_care_solvability",
     "compile_vi", "in_terminal_set", "solve_are", "solve_coupled_riccati",
     "unconstrained_ne_sequence",
-    "QpProblem", "QpSolution", "solve_qp",
+    "QpSolution",
     "ClosedLoopTrace", "rhc_step", "shift_warm_start", "simulate",
     "CrossroadSpec", "build_crossroad", "default_15_vehicle_spec", "random_avi",
     "ALGORITHMS", "SolverConfig", "SolverReport", "Splitting", "agraal_solve",

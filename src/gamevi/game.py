@@ -445,7 +445,7 @@ def _augmented_riccati(game, riccati):
     return AugmentedRiccati(P_hat, residuals)
 
 
-# in_terminal_set's default horizon and the strict margin it asks of every row
+# in_terminal_set's horizon and the strict margin it asks of every row
 _TERMINAL_HORIZON = 50
 _TERMINAL_MARGIN = 1e-9
 
@@ -497,13 +497,12 @@ class CompiledGameVi:
       E          M_ol F + qmap, so the VI operator at F x0 is E @ x0 (zero up
                  to the Riccati tolerance)
 
-    It also holds the terminal-set test of in_terminal_set, with nothing in
-    it depending on the state: per horizon h, the feedback constraint rows
-    along the loop stacked as [U; U A_cl; ..; U A_cl^(h-1)] with tiled lower
-    and upper bounds (U holds each row of G once, the two sides of a box
-    sharing one row), A_cl^h and the tail radius. The default horizon's
-    stack and F are built here from the powers that bound sup_k ||A_cl^k||;
-    any other horizon's stack or rollout rows on first use.
+    It also holds the terminal-set test of in_terminal_set at the horizon
+    h = 50, with nothing in it depending on the state: the feedback
+    constraint rows along the loop stacked as [U; U A_cl; ..; U A_cl^(h-1)]
+    with tiled lower and upper bounds (U holds each row of G once, the two
+    sides of a box sharing one row), A_cl^h and the tail radius. The test
+    and F are built here from the powers that bound sup_k ||A_cl^k||.
     """
 
     def __init__(self, game, riccati, augmented, theta, gamma, M_ol, qmap,
@@ -532,15 +531,17 @@ class CompiledGameVi:
         G_mix = game.Ex + sum(game.Eu[i] @ riccati.K_ol[i] for i in range(game.N))
         self._fb_rows = np.vstack([G_mix, game.Dx])
         self._fb_offsets = np.concatenate([game.e, game.dx])
-        self._fb_bounds = _two_sided(self._fb_rows, self._fb_offsets)
-        powers = _closed_loop_powers(riccati.A_cl,
-                                     max(_TERMINAL_HORIZON + 1, game.T))
+        h, n = _TERMINAL_HORIZON, game.n
+        powers = _closed_loop_powers(riccati.A_cl, max(h + 1, game.T))
         self._terminal_radius = self._tail_radius(
             self._bound_power_norms(riccati.A_cl, powers))
-        self._terminal_tests = {
-            _TERMINAL_HORIZON: self._stack_test(powers[:_TERMINAL_HORIZON + 1])}
-        self.F = self._stack_rollout(powers[:game.T])
-        self._rollouts = {game.T: self.F}
+        stacked = np.stack(powers)
+        U, lower, upper = _two_sided(self._fb_rows, self._fb_offsets)
+        # (rows, lower, upper, A_cl^h)
+        self._terminal_test = ((U @ stacked[:h]).reshape(-1, n), np.tile(lower, h),
+                               np.tile(upper, h), powers[h])
+        self.F = np.vstack([(K @ stacked[:game.T]).reshape(-1, n)
+                            for K in riccati.K_ol])
         self.E = M_ol @ self.F + qmap
 
     @staticmethod
@@ -574,43 +575,6 @@ class CompiledGameVi:
             return np.inf
         r_feas = np.min((-g[nz] - _TERMINAL_MARGIN) / norms[nz])
         return r_feas / power_sup if r_feas > 0.0 else -np.inf
-
-    def _stack_test(self, powers):
-        """(rows, lower, upper, A_cl^h) of the terminal-set test at the
-        horizon h = len(powers) - 1, from the powers A_cl^0 .. A_cl^h."""
-        U, lower, upper = self._fb_bounds
-        stacked = np.stack(powers)
-        h = len(powers) - 1
-        rows = (U @ stacked[:-1]).reshape(-1, self.game.n)
-        # a copy, so that the test does not pin the whole power stack
-        return rows, np.tile(lower, h), np.tile(upper, h), stacked[-1].copy()
-
-    def _terminal_test(self, horizon):
-        """The terminal-set test at the given horizon, built on first use."""
-        test = self._terminal_tests.get(horizon)
-        if test is None:
-            test = self._stack_test(
-                _closed_loop_powers(self.riccati.A_cl, horizon + 1))
-            self._terminal_tests[horizon] = test
-        return test
-
-    def _stack_rollout(self, powers):
-        """Rows of the feedback rollout over the horizon h = len(powers),
-        from the powers A_cl^0 .. A_cl^(h-1): agent i's block stacks
-        K_i A_cl^t for t = 0..h-1."""
-        n = self.game.n
-        stacked = np.reshape(powers, (-1, n, n))
-        return np.vstack([(K @ stacked).reshape(-1, n) for K in self.riccati.K_ol])
-
-    def _rollout(self, horizon):
-        """The feedback rollout rows at the given horizon, built on first
-        use."""
-        F = self._rollouts.get(horizon)
-        if F is None:
-            F = self._stack_rollout(
-                _closed_loop_powers(self.riccati.A_cl, horizon)[:horizon])
-            self._rollouts[horizon] = F
-        return F
 
     def q_of(self, x0):
         """Affine offset col_i(Gamma_i' Qbar_i Theta x0) of the VI."""
@@ -693,35 +657,31 @@ def compile_vi(game):
                           D, d0, Dmap, splitting)
 
 
-def unconstrained_ne_sequence(compiled, x0, horizon=None):
-    """Stacked feedback rollout u_i[t] = K_i (A + sum_j B_j K_j)^t x0.
-
-    Agent-major stacking to match the VI ordering; one matvec with the
-    rollout rows compiled holds per horizon (CompiledGameVi.F at the VI's
-    horizon). This is the unconstrained VI solution for every x0, and so the
-    VI solution wherever it is feasible, in particular inside the terminal
-    set.
+def unconstrained_ne_sequence(compiled, x0):
+    """Stacked feedback rollout u_i[t] = K_i (A + sum_j B_j K_j)^t x0 over
+    the VI's horizon: one matvec with the rows CompiledGameVi.F, agent-major
+    to match the VI ordering. This is the unconstrained VI solution for
+    every x0, and so the VI solution wherever it is feasible, in particular
+    inside the terminal set.
     """
-    T = compiled.game.T if horizon is None else int(horizon)
-    return compiled._rollout(T) @ np.asarray(x0, dtype=float).ravel()
+    return compiled.F @ np.asarray(x0, dtype=float).ravel()
 
 
-def in_terminal_set(compiled, x, horizon_check=_TERMINAL_HORIZON):
+def in_terminal_set(compiled, x):
     """Sound membership test for the terminal set.
 
     The states x, A_cl x, .., A_cl^(h-1) x of the equilibrium feedback loop,
-    h = horizon_check, must satisfy every constraint row G y + g <= 0
-    (state rows plus the input rows mapped through the feedback gains) with
-    a strict margin of 1e-9; the tail from A_cl^h x on is covered by a
-    norm-ball argument using sup_k ||A_cl^k||. Conservative: may reject
-    boundary states, never falsely accepts; a non-finite x is rejected.
+    h = 50, must satisfy every constraint row G y + g <= 0 (state rows plus
+    the input rows mapped through the feedback gains) with a strict margin
+    of 1e-9; the tail from A_cl^h x on is covered by a norm-ball argument
+    using sup_k ||A_cl^k||. Conservative: may reject boundary states, never
+    falsely accepts; a non-finite x is rejected.
 
     The rollout is one product with the rows [G; G A_cl; ..; G A_cl^(h-1)],
-    stacked once per horizon by compiled as two-sided bounds (see
-    CompiledGameVi), so a call costs one matvec, two comparisons and one
-    norm.
+    stacked once by compiled as two-sided bounds (see CompiledGameVi), so a
+    call costs one matvec, two comparisons and one norm.
     """
-    rows, lower, upper, tail = compiled._terminal_test(horizon_check)
+    rows, lower, upper, tail = compiled._terminal_test
     x = np.asarray(x, dtype=float).ravel()
     if not np.isfinite(x).all():
         return False

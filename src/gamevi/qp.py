@@ -22,21 +22,18 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (DimensionMismatch, GameViError, Infeasible, NonFiniteData,
                      NotStronglyMonotone, NotSymmetric)
 
 __all__ = [
-    "QpProblem", "QpSolution", "QpEngine", "FeasibilityReport",
-    "solve_qp", "certify_feasibility",
-    "OPTIMAL", "ITER_LIMIT", "INFEASIBLE",
+    "QpSolution", "QpEngine", "FeasibilityReport", "certify_feasibility",
+    "OPTIMAL", "ITER_LIMIT",
 ]
 
 OPTIMAL = "optimal"
 ITER_LIMIT = "iter_limit"
-INFEASIBLE = "infeasible"
 
 DEFAULT_TOL = 1e-8
 
@@ -51,31 +48,6 @@ _FACTOR_CACHE = 64
 # duplicated rows: such a start set is replaced by the empty set, and such
 # a set met by a step ends the steps
 _PIVOT_RATIO = 1e-5
-
-
-@dataclasses.dataclass
-class QpProblem:
-    """Data of min 0.5 y'Py + c'y over the polyhedron C = {y : Dy + d <= 0}.
-
-    P must be symmetric (to 1e-12, relative) positive definite; C is any
-    object with ``D`` and ``d`` attributes (avi.Polyhedron). Raises
-    DimensionMismatch unless P is n x n and D has n columns for c of length
-    n, NonFiniteData when P has a NaN or infinite entry, and NotSymmetric
-    when P is not symmetric.
-    """
-    P: np.ndarray
-    c: np.ndarray
-    C: object
-
-    def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=float)
-        self.c = np.asarray(self.c, dtype=float).ravel()
-        n = self.c.size
-        if self.P.shape != (n, n) or np.shape(self.C.D)[1:] != (n,):
-            raise DimensionMismatch(f"P must be {n} x {n} and D must have {n} columns")
-        if not np.isfinite(self.P).all():
-            raise NonFiniteData("P contains NaN or infinite entries")
-        _check_symmetric(self.P)
 
 
 def _check_symmetric(P):
@@ -147,17 +119,17 @@ class QpEngine:
 
     The linear term c, the offsets b and the warm duals are passed per
     call, so one engine can serve several independent iterate streams.
-    Computed once: the Cholesky factor P = U'U and D P^{-1}; when P is the
-    identity (np.array_equal, checked once) the free minimizer is -c and
-    D P^{-1} is D itself. The upper Cholesky factor of S_A is formed on an
-    active set's first use and cached, at most _FACTOR_CACHE sets with the
-    oldest evicted first; a numerically singular S_A (duplicated rows) is
-    cached as None.
+    Computed once: the Cholesky factor P = U'U (LAPACK potrf, as for S_A)
+    and D P^{-1}; when P is exactly the identity (checked once) the free
+    minimizer is -c and D P^{-1} is D itself. The upper Cholesky factor of
+    S_A is formed on an active set's first use and cached, at most
+    _FACTOR_CACHE sets with the oldest evicted first; a numerically
+    singular S_A (duplicated rows) is cached as None.
 
     Raises DimensionMismatch unless P is n x n and D has n columns,
     NonFiniteData when P or D has a NaN or infinite entry, NotSymmetric
-    when P is not symmetric (the test QpProblem applies) and
-    NotStronglyMonotone when P is not positive definite.
+    when P is not symmetric (to 1e-12, relative) and NotStronglyMonotone
+    when P is not positive definite.
     """
 
     def __init__(self, P, D):
@@ -168,16 +140,17 @@ class QpEngine:
         self.m, self.n = self.D.shape
         if not (np.isfinite(self.P).all() and np.isfinite(self.D).all()):
             raise NonFiniteData("QP data P or D contain NaN or infinite entries")
-        self._identity = np.array_equal(self.P, np.eye(self.n))
+        # P = I exactly when its n nonzero entries are ones on the diagonal
+        self._identity = bool(np.count_nonzero(self.P) == self.n
+                              and (self.P.diagonal() == 1.0).all())
         self._factors = {}
         if self._identity:
             self._DPinv = self.D
         else:
             _check_symmetric(self.P)
-            try:
-                self._U = scipy.linalg.cho_factor(self.P)[0]
-            except np.linalg.LinAlgError as exc:
-                raise NotStronglyMonotone("P is not positive definite") from exc
+            self._U, info = dpotrf(self.P)
+            if info:
+                raise NotStronglyMonotone("P is not positive definite")
             self._DPinv = np.ascontiguousarray(dpotrs(self._U, self.D.T)[0].T)
 
     def _solution(self, c, b, y, active, lam_a, tol, iterations):
@@ -328,14 +301,3 @@ class QpEngine:
                 return sol
         return self._solution(c, b, y, active, lam_a, tol, 1)
 
-
-def solve_qp(problem, tol=DEFAULT_TOL, warm_dual=None):
-    """One-shot QP solve; see QpEngine for the reusable interface.
-
-    Returns a QpSolution whose status is ``optimal`` (KKT residual <= tol)
-    or ``iter_limit`` (the dual active-set steps stopped short of tol).
-    Raises Infeasible when the constraint set is certified empty.
-    """
-    engine = QpEngine(problem.P, problem.C.D)
-    return engine.solve(problem.c, b=-np.asarray(problem.C.d, dtype=float).ravel(),
-                        warm_dual=warm_dual, tol=tol)

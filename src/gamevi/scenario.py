@@ -100,6 +100,11 @@ class CrossroadSpec:
         self.directions = tuple(self.directions)
         if not self.directions:
             raise SpecError("need at least one vehicle")
+        numbers = np.append([self.tau, self.v_ref, self.d_min, self.v_min,
+                             self.v_max, self.u_min, self.u_max, self.k_pre,
+                             self.gap_extra], self.d_des)
+        if not np.isfinite(numbers).all():
+            raise SpecError("spec values must be finite")
         if self.tau <= 0:
             raise SpecError("tau must be positive")
         if self.chi is None:
@@ -188,7 +193,6 @@ def build_crossroad(spec, horizon=10):
     safety distance, speed band, input box -- are written in the residual
     input coordinates.
     """
-    spec = spec if isinstance(spec, CrossroadSpec) else CrossroadSpec(**spec)
     N = spec.n_vehicles
     dims, off = _state_layout(spec)
     n = off[-1]
@@ -288,7 +292,6 @@ def crossroad_observables(spec, states):
     Depends only on the spec, so it doubles as an independent decoder for
     traces produced by the closed loop.
     """
-    spec = spec if isinstance(spec, CrossroadSpec) else CrossroadSpec(**spec)
     states = np.atleast_2d(np.asarray(states, dtype=float))
     dims, off = _state_layout(spec)
     speed = _speed_rows(spec)

@@ -1,0 +1,22 @@
+"""The package's public API, pinned: a change to ``gamevi.__all__`` shows up
+as a change to this list."""
+
+import gamevi
+
+PUBLIC = [
+    "ALGORITHMS", "AviProblem", "ClosedLoopTrace", "CompiledGameVi",
+    "CrossroadSpec", "LqGame", "Polyhedron", "QpSolution", "SolverConfig",
+    "SolverReport", "Splitting", "agraal_solve", "best_response",
+    "build_crossroad", "check_care_solvability", "compile_vi",
+    "default_15_vehicle_spec", "dr_solve", "exgd_solve", "in_terminal_set",
+    "make_dr_splitting", "monotonicity_constants", "nagd_solve",
+    "natural_residual", "pgd_solve", "prgd_solve", "project", "random_avi",
+    "rhc_step", "shift_warm_start", "simulate", "solve", "solve_are",
+    "solve_coupled_riccati", "unconstrained_ne_sequence", "validate",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(gamevi.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(gamevi, name), name

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gamevi import game as G
+from gamevi import game as G, scenario
 from gamevi.avi import (AviProblem, Polyhedron, monotonicity_constants,
                         natural_residual)
 from gamevi.errors import (DimensionMismatch, InvalidSplitting, NoConvergence,
@@ -548,12 +548,19 @@ def test_gradient_identity_on_feasible_points(small_game2):
 
 # ------------------------------------------------- feedback sequence and sets
 
+def with_horizon(g, T):
+    """The game g over the horizon T."""
+    return G.LqGame(g.A, g.B, g.Q, g.R, T, Ex=g.Ex, Eu=g.Eu, e=g.e, Dx=g.Dx,
+                    dx=g.dx)
+
+
 def test_unconstrained_ne_sequence_zero_and_t1(small_game2):
     g, c = small_game2
     assert np.allclose(G.unconstrained_ne_sequence(c, np.zeros(g.n)), 0.0)
     x = np.array([0.1, -0.2, 0.3])
-    u1 = G.unconstrained_ne_sequence(c, x, horizon=1)
-    expected = np.concatenate([c.riccati.K_ol[i] @ x for i in range(g.N)])
+    c1 = G.compile_vi(with_horizon(g, 1))
+    u1 = G.unconstrained_ne_sequence(c1, x)
+    expected = np.concatenate([c1.riccati.K_ol[i] @ x for i in range(g.N)])
     assert np.allclose(u1, expected)
 
 
@@ -567,30 +574,41 @@ def test_unconstrained_ne_sequence_scalar_hand():
     assert seq == pytest.approx([k * x0, k * a_cl * x0], abs=1e-12)
 
 
+def assert_matches_rollout_oracle(c, rng):
+    for x in rng.normal(size=(3, c.game.n)):
+        want = feedback_rollout(c.riccati.K_ol, c.riccati.A_cl, x, c.game.T)
+        got = G.unconstrained_ne_sequence(c, x)
+        assert got.shape == want.shape
+        # matrix powers against repeated matvecs: round-off only
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("fixture", ["small_game2", "crossroad4", "crossroad15"])
 def test_unconstrained_ne_sequence_matches_rollout_oracle(fixture, request):
     c = request.getfixturevalue(fixture)[-1]
     rng = np.random.default_rng(23)
-    for horizon in (1, c.game.T, 60):
-        for x in rng.normal(size=(3, c.game.n)):
-            want = feedback_rollout(c.riccati.K_ol, c.riccati.A_cl, x, horizon)
-            got = G.unconstrained_ne_sequence(c, x, horizon=horizon)
-            assert got.shape == want.shape
-            # matrix powers against repeated matvecs: round-off only
-            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+    assert_matches_rollout_oracle(c, rng)
     x = rng.normal(size=c.game.n)
     assert np.array_equal(G.unconstrained_ne_sequence(c, x), c.F @ x)
     assert np.array_equal(c.E, c.M_ol @ c.F + c.qmap)
 
 
+@pytest.mark.parametrize("T", [1, 2, 60])
+def test_unconstrained_ne_sequence_at_other_horizons(crossroad4, T):
+    # the rollout rows come from the powers of the terminal-set test below
+    # the horizon 50 and extend them beyond it
+    c = G.compile_vi(scenario.build_crossroad(crossroad4[0], horizon=T))
+    assert c.F.shape == (c.game.input_dim, c.game.n)
+    assert_matches_rollout_oracle(c, np.random.default_rng(24))
+
+
 def test_terminal_test_owns_its_tail_power(small_game2):
     # A_cl^h used to be a view into the whole (h + 1) x n x n power stack
     _, c = small_game2
-    for horizon in (50, 7):
-        tail = c._terminal_test(horizon)[3]
-        assert tail.flags.owndata
-        assert np.allclose(tail, np.linalg.matrix_power(c.riccati.A_cl, horizon),
-                           rtol=1e-12, atol=1e-15)
+    tail = c._terminal_test[3]
+    assert tail.flags.owndata
+    assert np.allclose(tail, np.linalg.matrix_power(c.riccati.A_cl, 50),
+                       rtol=1e-12, atol=1e-15)
 
 
 def test_in_terminal_set_origin_and_violation(small_game2):
@@ -603,11 +621,11 @@ def test_in_terminal_set_sound_vs_long_rollout(small_game2):
     """Membership implies the 10x longer simulation stays strictly inside."""
     g, c = small_game2
     rng = np.random.default_rng(9)
-    horizon = 40
+    horizon = 50
     accepted = 0
     for _ in range(200):
         x = rng.normal(size=g.n) * rng.uniform(0.05, 3.0)
-        if not G.in_terminal_set(c, x, horizon_check=horizon):
+        if not G.in_terminal_set(c, x):
             continue
         accepted += 1
         y = x.copy()
@@ -625,7 +643,8 @@ def rollout_oracle(compiled, horizon):
                                 compiled.riccati.A_cl, horizon)
 
 
-@pytest.mark.parametrize("horizon", [40, 50])
+# in_terminal_set's horizon, which the oracle shares
+@pytest.mark.parametrize("horizon", [50])
 @pytest.mark.parametrize("fixture", TERMINAL_GAMES)
 def test_in_terminal_set_matches_rollout_oracle(fixture, horizon, request):
     """The stacked test decides as the plain rollout on random states at
@@ -636,11 +655,11 @@ def test_in_terminal_set_matches_rollout_oracle(fixture, horizon, request):
     xs = [scale * rng.normal(size=c.game.n)
           for scale in np.logspace(-3, 1, 13) for _ in range(15)]
     want = [oracle(x) for x in xs]
-    assert [G.in_terminal_set(c, x, horizon) for x in xs] == want
+    assert [G.in_terminal_set(c, x) for x in xs] == want
     assert any(want) and not all(want)
 
 
-@pytest.mark.parametrize("horizon", [40, 50])
+@pytest.mark.parametrize("horizon", [50])
 @pytest.mark.parametrize("fixture", TERMINAL_GAMES)
 def test_in_terminal_set_matches_rollout_oracle_at_boundary(fixture, horizon,
                                                              request):
@@ -659,8 +678,8 @@ def test_in_terminal_set_matches_rollout_oracle_at_boundary(fixture, horizon,
         while hi - lo > 1e-9 * hi:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if oracle(mid * d) else (lo, mid)
-        assert G.in_terminal_set(c, lo * d, horizon)
-        assert not G.in_terminal_set(c, hi * d, horizon)
+        assert G.in_terminal_set(c, lo * d)
+        assert not G.in_terminal_set(c, hi * d)
 
 
 @pytest.mark.parametrize("fixture", TERMINAL_GAMES)
@@ -681,17 +700,16 @@ def test_in_terminal_set_rejects_non_finite_states(fixture, request):
 ])
 def test_in_terminal_set_state_free_rows(dx, inside):
     """Rows that do not depend on the state decide alone: no rows or only
-    rows that keep the margin accept every finite state, any row short of
-    it accepts none, at every horizon including 0."""
+    rows that keep the margin accept every finite state, and any row short
+    of it accepts none."""
     one = np.array([[1.0]])
     Dx = None if dx is None else np.zeros((1, 1))
     c = G.compile_vi(G.LqGame(0.5 * one, [one], [one], [one], T=2, Dx=Dx, dx=dx))
-    for horizon in (0, 1, 50):
-        oracle = rollout_oracle(c, horizon)
-        for x in ([0.0], [3.0], [-1e6]):
-            assert oracle(x) == inside
-            assert G.in_terminal_set(c, x, horizon) == inside
-        assert not G.in_terminal_set(c, [np.nan], horizon)
+    oracle = rollout_oracle(c, 50)
+    for x in ([0.0], [3.0], [-1e6]):
+        assert oracle(x) == inside
+        assert G.in_terminal_set(c, x) == inside
+    assert not G.in_terminal_set(c, [np.nan])
 
 
 def test_in_terminal_set_repeated_and_opposite_rows():

@@ -1,3 +1,4 @@
+import collections
 import os
 import subprocess
 import sys
@@ -10,10 +11,18 @@ from gamevi import qp as qp_module
 from gamevi.avi import Polyhedron
 from gamevi.errors import (DimensionMismatch, GameViError, Infeasible,
                            NonFiniteData, NotStronglyMonotone, NotSymmetric)
-from gamevi.qp import (ITER_LIMIT, OPTIMAL, QpEngine, QpProblem,
-                       certify_feasibility, solve_qp)
+from gamevi.qp import ITER_LIMIT, OPTIMAL, QpEngine, certify_feasibility
 
 from oracles import kkt_enumerate
+
+# min 0.5 y'Py + c'y over the polyhedron C = {y : Dy + d <= 0}
+Qp = collections.namedtuple("Qp", "P c C")
+
+
+def solve(prob, tol=qp_module.DEFAULT_TOL, warm_dual=None):
+    """One solve of prob by a fresh engine."""
+    return QpEngine(prob.P, prob.C.D).solve(prob.c, b=-prob.C.d, warm_dual=warm_dual,
+                                            tol=tol)
 
 
 def make_box(lo, hi, n):
@@ -27,11 +36,11 @@ def random_problem(rng, n, m):
     c = rng.normal(size=n)
     D = rng.normal(size=(m, n))
     d = -D @ rng.normal(size=n) - rng.uniform(0.1, 1.0, m)
-    return QpProblem(P, c, Polyhedron(D, d))
+    return Qp(P, c, Polyhedron(D, d))
 
 
 def test_unconstrained_minimizer():
-    sol = solve_qp(QpProblem(np.eye(2), [-1.0, -1.0], Polyhedron.unconstrained(2)))
+    sol = solve(Qp(np.eye(2), [-1.0, -1.0], Polyhedron.unconstrained(2)))
     assert sol.status == OPTIMAL
     assert np.allclose(sol.y, [1.0, 1.0])
     assert sol.lam.size == 0
@@ -39,8 +48,8 @@ def test_unconstrained_minimizer():
 
 def test_one_dimensional_kkt_by_hand():
     # min y^2 s.t. y >= 1  ->  y = 1, multiplier 2
-    prob = QpProblem([[2.0]], [0.0], Polyhedron([[-1.0]], [1.0]))
-    sol = solve_qp(prob)
+    prob = Qp([[2.0]], [0.0], Polyhedron([[-1.0]], [1.0]))
+    sol = solve(prob)
     assert sol.status == OPTIMAL
     assert sol.y[0] == pytest.approx(1.0, abs=1e-9)
     assert sol.lam[0] == pytest.approx(2.0, abs=1e-8)
@@ -50,7 +59,7 @@ def test_certified_infeasibility():
     C = Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
                    np.array([1.0, 0.0, 0.0]))  # u1+u2 <= -1, u >= 0
     with pytest.raises(Infeasible) as err:
-        solve_qp(QpProblem(np.eye(2), np.zeros(2), C))
+        solve(Qp(np.eye(2), np.zeros(2), C))
     assert err.value.slack < 0
 
 
@@ -59,7 +68,7 @@ def test_kkt_conditions_on_random_instances():
     tol = 1e-8
     for _ in range(25):
         prob = random_problem(rng, int(rng.integers(2, 8)), int(rng.integers(1, 6)))
-        sol = solve_qp(prob, tol=tol)
+        sol = solve(prob, tol=tol)
         assert sol.status == OPTIMAL
         D, d = prob.C.D, prob.C.d
         stationarity = prob.P @ sol.y + prob.c + D.T @ sol.lam
@@ -73,7 +82,7 @@ def test_matches_enumeration_oracle():
     rng = np.random.default_rng(1)
     for _ in range(15):
         prob = random_problem(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        sol = solve_qp(prob, tol=1e-10)
+        sol = solve(prob, tol=1e-10)
         expected = kkt_enumerate(prob.P, prob.c, prob.C.D, prob.C.d)
         assert np.allclose(sol.y, expected, atol=1e-7)
 
@@ -82,15 +91,15 @@ def test_solution_unique_across_warm_starts():
     rng = np.random.default_rng(2)
     prob = random_problem(rng, 6, 4)
     tol = 1e-9
-    a = solve_qp(prob, tol=tol)
-    b = solve_qp(prob, tol=tol, warm_dual=rng.uniform(0, 1, 4))
+    a = solve(prob, tol=tol)
+    b = solve(prob, tol=tol, warm_dual=rng.uniform(0, 1, 4))
     assert np.max(np.abs(a.y - b.y)) <= 10 * tol + 1e-10
 
 
 def test_objective_dominates_random_feasible_points():
     rng = np.random.default_rng(3)
     prob = random_problem(rng, 5, 3)
-    sol = solve_qp(prob)
+    sol = solve(prob)
 
     def obj(y):
         return 0.5 * y @ prob.P @ y + prob.c @ y
@@ -116,7 +125,7 @@ def test_engine_reuse_with_changing_linear_term():
         c = rng.normal(size=n)
         sol = engine.solve(c, b=b, warm_dual=dual, tol=1e-9)
         assert sol.status == OPTIMAL
-        one_shot = solve_qp(QpProblem(P, c, Polyhedron(D, -b)), tol=1e-9)
+        one_shot = solve(Qp(P, c, Polyhedron(D, -b)), tol=1e-9)
         assert np.allclose(sol.y, one_shot.y, atol=1e-7)
         dual = sol.lam
 
@@ -124,7 +133,7 @@ def test_engine_reuse_with_changing_linear_term():
 def test_iter_limit_returns_best_iterate():
     rng = np.random.default_rng(5)
     prob = random_problem(rng, 6, 4)
-    sol = solve_qp(prob, tol=1e-16)
+    sol = solve(prob, tol=1e-16)
     assert sol.status == ITER_LIMIT
     assert np.all(np.isfinite(sol.y))
     assert sol.kkt_residual < 1.0  # best iterate is still a reasonable point
@@ -143,8 +152,7 @@ def test_feasibility_phase_classifications():
 
 def test_rejects_asymmetric_p():
     with pytest.raises(ValueError):
-        QpProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2),
-                  Polyhedron.unconstrained(2))
+        QpEngine(np.array([[1.0, 0.5], [0.0, 1.0]]), make_box(-1, 1, 2).D)
 
 
 def test_asymmetric_p_raises_not_symmetric():
@@ -153,13 +161,24 @@ def test_asymmetric_p_raises_not_symmetric():
     P = np.array([[2.0, 1.0], [0.0, 2.0]])
     with pytest.raises(NotSymmetric):
         QpEngine(P, np.zeros((0, 2)))
-    with pytest.raises(NotSymmetric):
-        QpProblem(P, np.zeros(2), Polyhedron.unconstrained(2))
     assert issubclass(NotSymmetric, GameViError)
     # asymmetry within 1e-12 relative is accepted
     near = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
     sol = QpEngine(near, np.zeros((0, 2))).solve(np.ones(2), b=np.zeros(0))
     assert sol.optimal
+
+
+def test_identity_metric_detected_exactly():
+    # P = I skips every solve with P, so only P == I entrywise may take it
+    # (a -0.0 off the diagonal compares equal to 0.0)
+    signed_zero = np.eye(3)
+    signed_zero[0, 1] = signed_zero[1, 0] = -0.0
+    for P in (np.eye(3), signed_zero):
+        assert QpEngine(P, np.zeros((0, 3)))._identity
+    # a diagonal entry a few ulps above 1, and off-diagonal entries of 1e-300
+    # (the diagonal stays 1.0 exactly)
+    for P in (np.diag([1.0, 1.0, 1.0 + 1e-15]), np.eye(3) + 1e-300):
+        assert not QpEngine(P, np.zeros((0, 3)))._identity
 
 
 def test_typed_errors_at_the_qp_boundary():
@@ -168,15 +187,11 @@ def test_typed_errors_at_the_qp_boundary():
     box = make_box(-1, 1, 2)
     engine = QpEngine(np.eye(2), box.D)
     cases = [
-        (NotStronglyMonotone,
-         lambda: solve_qp(QpProblem(np.diag([1.0, -1.0]), np.zeros(2), box))),
+        (NotStronglyMonotone, lambda: QpEngine(np.diag([1.0, -1.0]), box.D)),
         (NotStronglyMonotone, lambda: QpEngine(np.zeros((2, 2)), box.D)),
-        (NonFiniteData, lambda: QpProblem([[1.0, np.nan], [np.nan, 1.0]],
-                                          np.zeros(2), box)),
+        (NonFiniteData, lambda: QpEngine([[1.0, np.nan], [np.nan, 1.0]], box.D)),
         (NonFiniteData, lambda: QpEngine(np.diag([np.inf, 1.0]), box.D)),
-        (DimensionMismatch, lambda: QpProblem(np.eye(2), np.zeros(3), box)),
-        (DimensionMismatch, lambda: QpProblem(np.ones(2), np.zeros(2), box)),
-        (DimensionMismatch, lambda: QpProblem(np.eye(3), np.zeros(3), box)),
+        (DimensionMismatch, lambda: QpEngine(np.ones(2), box.D)),
         (DimensionMismatch, lambda: QpEngine(np.eye(3), box.D)),
         (DimensionMismatch, lambda: QpEngine(np.eye(2), np.ones(2))),
         (DimensionMismatch, lambda: engine.solve(np.zeros(3), b=np.ones(4))),
@@ -192,16 +207,16 @@ def test_typed_errors_at_the_qp_boundary():
 
 def test_box_qp_active_at_bounds():
     # strongly pulled toward a corner outside the box
-    prob = QpProblem(np.eye(3), np.array([-10.0, 10.0, 0.0]), make_box(-1, 1, 3))
-    sol = solve_qp(prob)
+    prob = Qp(np.eye(3), np.array([-10.0, 10.0, 0.0]), make_box(-1, 1, 3))
+    sol = solve(prob)
     assert np.allclose(sol.y, [1.0, -1.0, 0.0], atol=1e-8)
 
 
 def test_equality_encoded_as_paired_inequalities():
     # y = 1 via y <= 1 and -y <= -1 (degenerate duals); min 0.5 y^2 - 2y
-    prob = QpProblem([[1.0]], [-2.0],
-                     Polyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, 1.0])))
-    sol = solve_qp(prob)
+    prob = Qp([[1.0]], [-2.0],
+              Polyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, 1.0])))
+    sol = solve(prob)
     assert sol.status == OPTIMAL
     assert sol.y[0] == pytest.approx(1.0, abs=1e-8)
     assert np.all(sol.lam >= 0.0)
@@ -211,8 +226,8 @@ def test_duplicated_active_rows():
     # the same face twice: the two copies share the multiplier
     D = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     d = np.array([-1.0, -1.0, -5.0])
-    prob = QpProblem(np.eye(2), np.array([-3.0, 0.0]), Polyhedron(D, d))
-    sol = solve_qp(prob)
+    prob = Qp(np.eye(2), np.array([-3.0, 0.0]), Polyhedron(D, d))
+    sol = solve(prob)
     assert sol.status == OPTIMAL
     assert np.allclose(sol.y, [1.0, 0.0], atol=1e-8)
     assert sol.lam[0] + sol.lam[1] == pytest.approx(2.0, abs=1e-7)
@@ -235,8 +250,8 @@ def degenerate_problem(rng, n, m):
     D = rng.normal(size=(m, n))
     d = -D @ rng.normal(size=n) - rng.uniform(0.1, 1.0, m)
     dup = m // 2
-    return (QpProblem(P, c, Polyhedron(np.vstack([D, D[:dup]]),
-                                       np.concatenate([d, d[:dup]]))),
+    return (Qp(P, c, Polyhedron(np.vstack([D, D[:dup]]),
+                                np.concatenate([d, d[:dup]]))),
             Polyhedron(D, d))
 
 
@@ -248,28 +263,20 @@ def test_kkt_enumerate_agrees_with_solve_qp_on_degenerate_rows():
         for _ in range(30):
             n = int(rng.integers(2, 5))
             prob, unique = degenerate_problem(rng, n, int(rng.integers(n + 1, 6)))
-            sol = solve_qp(prob, tol=1e-10)
+            sol = solve(prob, tol=1e-10)
             assert sol.status == OPTIMAL
             for C in (prob.C, unique):
                 assert np.allclose(kkt_enumerate(prob.P, prob.c, C.D, C.d),
                                    sol.y, atol=1e-7)
 
 
-def test_dual_active_set_on_degenerate_instances(monkeypatch):
+def test_dual_active_set_on_degenerate_instances():
     # the start set misses on a good share of these; the dual active-set
     # steps must then reach the tolerance and agree with the oracle.
     # Each instance is solved again with an all-zero row violated by 1e-11,
-    # as best_response builds them; that row must not empty the set.
-    # Every engine is recorded, so the test also sees the active sets whose
-    # Schur complement was singular (cached as None).
-    engines = []
-
-    class RecordingEngine(QpEngine):
-        def __init__(self, P, D):
-            super().__init__(P, D)
-            engines.append(self)
-
-    monkeypatch.setattr(qp_module, "QpEngine", RecordingEngine)
+    # as best_response builds them; that row must not empty the set. The
+    # test also counts the engines that met an active set whose Schur
+    # complement was singular (cached as None).
     rng = np.random.default_rng(6)
     tol = 1e-10
     fallbacks = [0, 0]
@@ -281,12 +288,13 @@ def test_dual_active_set_on_degenerate_instances(monkeypatch):
         round_off = Polyhedron(np.vstack([prob.C.D, np.zeros((1, n))]),
                                np.append(prob.C.d, 1e-11))
         for k, C in enumerate([prob.C, round_off]):
-            sol = solve_qp(QpProblem(prob.P, prob.c, C), tol=tol)
+            engine = QpEngine(prob.P, C.D)
+            sol = engine.solve(prob.c, b=-C.d, tol=tol)
             assert sol.status == OPTIMAL
             assert sol.kkt_residual <= tol
             assert np.allclose(sol.y, expected, atol=1e-7)
             fallbacks[k] += sol.iterations == 1
-            singular += any(f is None for f in engines[-1]._factors.values())
+            singular += any(f is None for f in engine._factors.values())
     assert min(fallbacks) >= 5
     assert singular >= 5
 
@@ -305,7 +313,7 @@ def test_dual_active_set_certifies_infeasibility(monkeypatch):
     C = Polyhedron(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
                    np.array([1.0, 1.0, 1.0, 0.0]))
     with pytest.raises(Infeasible) as err:
-        solve_qp(QpProblem(np.eye(2), np.array([0.0, -1.0]), C))
+        solve(Qp(np.eye(2), np.array([0.0, -1.0]), C))
     assert calls == [(4, 2)]
     assert err.value.slack < 0
 
@@ -373,6 +381,7 @@ def test_cached_factors_agree_with_fresh_engines(metric, monkeypatch):
     D = rng.normal(size=(m, n))
     b = D @ rng.normal(size=n) + rng.uniform(0.1, 0.5, m)
     engine = QpEngine(P, D)
+    factored.clear()  # the engine factors P itself through dpotrf too
     c0, direction = 3.0 * rng.normal(size=n), rng.normal(size=n)
     family, dual = [], None
     for k in range(40):
@@ -533,11 +542,10 @@ def test_feasible_solves_do_not_import_scipy_optimize():
         import sys
         import numpy as np
         import gamevi
-        from gamevi.avi import Polyhedron
-        from gamevi.qp import QpProblem, solve_qp
+        from gamevi.qp import QpEngine
         D = np.array([[0.0, -2.3], [-0.2, -1.2], [-0.7, -0.5]])
-        C = Polyhedron(D, -np.array([0.5, 0.3, 0.4]))
-        sol = solve_qp(QpProblem(np.eye(2), np.array([-0.4, 4.1]), C))
+        engine = QpEngine(np.eye(2), D)
+        sol = engine.solve(np.array([-0.4, 4.1]), b=np.array([0.5, 0.3, 0.4]))
         assert sol.optimal and sol.iterations == 1, sol
         print("scipy.optimize" in sys.modules)
     """)

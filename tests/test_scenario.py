@@ -63,6 +63,28 @@ def test_spec_validation_errors():
         CrossroadSpec(directions=("NS",), d_min=20.0)  # no strict interior
 
 
+SPEC_NUMBERS = ["tau", "v_ref", "d_des", "d_min", "v_min", "v_max", "u_min",
+                "u_max", "k_pre", "gap_extra"]
+
+
+def test_spec_rejects_non_finite_values():
+    # NaN used to pass every comparison, and gap_extra = inf gave a default
+    # initial state holding inf
+    for field in SPEC_NUMBERS:
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(SpecError, match="finite"):
+                CrossroadSpec(directions=("NS", "ES"), **{field: bad})
+    with pytest.raises(SpecError, match="finite"):
+        CrossroadSpec(directions=("NS", "ES"), d_des=[10.0, np.nan])
+
+
+def test_spec_from_json_rejects_nan(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text('{"directions": ["NS", "ES"], "tau": NaN}')
+    with pytest.raises(SpecError, match="finite"):
+        CrossroadSpec.from_json(path)
+
+
 def test_spec_json_round_trip(tmp_path):
     spec = default_15_vehicle_spec().prefix(6)
     path = tmp_path / "spec.json"
@@ -134,6 +156,16 @@ def test_prestabilized_dynamics_is_schur():
     for k in (1, 2, 4, 15):
         g = build_crossroad(default_15_vehicle_spec().prefix(k), horizon=2)
         assert max(abs(np.linalg.eigvals(g.A))) < 1.0
+
+
+@pytest.mark.parametrize("fixture", ["crossroad4", "crossroad15"])
+def test_default_crossroad_is_a_potential_game(fixture, request):
+    # every vehicle weighs the joint state with Q_i = I and its input with
+    # R_i = 1, so the P_i coincide and M_ol is symmetric: then M1 = M2 = M/2
+    # and each DR step is one strictly convex QP. A scenario change that
+    # breaks this structure should be a visible decision.
+    M = request.getfixturevalue(fixture)[-1].M_ol
+    assert np.max(np.abs(M - M.T)) <= 1e-12 * np.max(np.abs(M))
 
 
 def test_crossroad_compiles_strongly_monotone(crossroad4):
