@@ -27,6 +27,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import scipy.linalg
@@ -448,6 +449,9 @@ def _augmented_riccati(game, riccati):
 # in_terminal_set's horizon and the strict margin it asks of every row
 _TERMINAL_HORIZON = 50
 _TERMINAL_MARGIN = 1e-9
+# relative margin of the terminal set's inner ball over the rounding of the
+# stacked test (CompiledGameVi._inner_ball)
+_BALL_SLACK = 1e-6
 
 
 def _two_sided(G, g):
@@ -501,8 +505,11 @@ class CompiledGameVi:
     h = 50, with nothing in it depending on the state: the feedback
     constraint rows along the loop stacked as [U; U A_cl; ..; U A_cl^(h-1)]
     with tiled lower and upper bounds (U holds each row of G once, the two
-    sides of a box sharing one row), A_cl^h and the tail radius. The test
-    and F are built here from the powers that bound sup_k ||A_cl^k||.
+    sides of a box sharing one row), A_cl^h and the tail radius, and the
+    radius of a ball around the origin certified inside the set
+    (_inner_ball), which lets the test accept states near the attractor
+    after one norm. The test and F are built here from the powers that
+    bound sup_k ||A_cl^k||, whose SVDs also give ||A_cl^h||_2 for the ball.
     """
 
     def __init__(self, game, riccati, augmented, theta, gamma, M_ol, qmap,
@@ -533,31 +540,34 @@ class CompiledGameVi:
         self._fb_offsets = np.concatenate([game.e, game.dx])
         h, n = _TERMINAL_HORIZON, game.n
         powers = _closed_loop_powers(riccati.A_cl, max(h + 1, game.T))
-        self._terminal_radius = self._tail_radius(
-            self._bound_power_norms(riccati.A_cl, powers))
+        power_sup, tail_norm = self._bound_power_norms(riccati.A_cl, powers, h)
+        self._terminal_radius = self._tail_radius(power_sup)
         stacked = np.stack(powers)
         U, lower, upper = _two_sided(self._fb_rows, self._fb_offsets)
         # (rows, lower, upper, A_cl^h)
         self._terminal_test = ((U @ stacked[:h]).reshape(-1, n), np.tile(lower, h),
                                np.tile(upper, h), powers[h])
+        self._terminal_ball = self._inner_ball(tail_norm)
         self.F = np.vstack([(K @ stacked[:game.T]).reshape(-1, n)
                             for K in riccati.K_ol])
         self.E = M_ol @ self.F + qmap
 
     @staticmethod
-    def _bound_power_norms(A_cl, powers, cap=100_000):
-        """sup_k ||A_cl^k||_2, bounded by the prefix maximum once some power
-        has norm <= 1/2 (later powers factor through it). powers holds
-        A_cl^0, A_cl^1, .. as far as already formed; the loop goes on from
-        there."""
-        sup = 1.0
+    def _bound_power_norms(A_cl, powers, h, cap=100_000):
+        """(sup_k ||A_cl^k||_2, ||A_cl^h||_2). The sup is bounded by the
+        prefix maximum once some power has norm <= 1/2 (later powers factor
+        through it). powers holds A_cl^0, .., A_cl^h at least; the loop goes
+        on from there, and A_cl^h's norm is the loop's own when it gets that
+        far."""
+        sup, norms = 1.0, []
         power = powers[0]
         for k in range(1, cap + 1):
             power = powers[k] if k < len(powers) else power @ A_cl
-            nrm = float(np.linalg.norm(power, 2))
-            sup = max(sup, nrm)
-            if nrm <= 0.5:
-                return sup
+            norms.append(float(np.linalg.norm(power, 2)))
+            sup = max(sup, norms[-1])
+            if norms[-1] <= 0.5:
+                return sup, (norms[h - 1] if k >= h
+                             else float(np.linalg.norm(powers[h], 2)))
         raise NoConvergence("could not bound the closed-loop power norms")
 
     def _tail_radius(self, power_sup):
@@ -575,6 +585,51 @@ class CompiledGameVi:
             return np.inf
         r_feas = np.min((-g[nz] - _TERMINAL_MARGIN) / norms[nz])
         return r_feas / power_sup if r_feas > 0.0 else -np.inf
+
+    def _inner_ball(self, tail_norm):
+        """Radius of a Euclidean ball around the origin inside the terminal
+        set: (1 - _BALL_SLACK) min(rho_rows, _terminal_radius / ||A_cl^h||_2).
+
+        rho_rows is the smallest of upper / ||r|| and -lower / ||r|| over the
+        stacked rows r = U A_cl^k (k < h) with their bounds; a zero row
+        gives inf when lower <= 0 <= upper and -inf otherwise. A state x
+        with ||x|| <= rho_rows has |r x| <= ||r|| ||x|| inside every row's
+        bounds (Cauchy-Schwarz), and one with ||x|| <= _terminal_radius /
+        ||A_cl^h|| has ||A_cl^h x|| <= _terminal_radius: so the whole ball
+        passes in_terminal_set's stacked test, in exact arithmetic.
+
+        The slack covers that test's rounding. The computed r x is off by
+        at most n eps ||r|| ||x|| (the error of a dot product is at most n
+        eps sum_i |r_i x_i|), ||A_cl^h x|| by at most n^1.5 eps ||A_cl^h||
+        ||x||; the row norms, the quotients, the SVD's ||A_cl^h||_2 and the
+        caller's norm of x are each right to a relative O(n eps). With
+        n = 29 that adds up to about 1e-14, far inside 1e-6, so a state the
+        ball accepts passes the stacked test as computed. -inf (nothing
+        passes) when some row or the tail can never hold; inf when no row
+        depends on the state.
+        """
+        rows, lower, upper, _ = self._terminal_test
+        # row norms by einsum: a third of np.linalg.norm(rows, axis=1)'s time
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        nz = norms > 0.0
+        if not np.all((lower[~nz] <= 0.0) & (upper[~nz] >= 0.0)):
+            return -np.inf
+        if self._terminal_radius < 0.0:
+            return -np.inf
+        rho = np.min(np.minimum(upper[nz], -lower[nz]) / norms[nz],
+                     initial=np.inf)
+        tail = (self._terminal_radius / tail_norm if tail_norm > 0.0
+                else np.inf)
+        return (1.0 - _BALL_SLACK) * float(min(rho, tail))
+
+    def as_state(self, x):
+        """x as a flat float vector; DimensionMismatch unless it has the
+        game's n entries."""
+        x = np.asarray(x, dtype=float).ravel()
+        if x.size != self.game.n:
+            raise DimensionMismatch(
+                f"state has {x.size} entries, the game has n = {self.game.n}")
+        return x
 
     def q_of(self, x0):
         """Affine offset col_i(Gamma_i' Qbar_i Theta x0) of the VI."""
@@ -662,9 +717,10 @@ def unconstrained_ne_sequence(compiled, x0):
     the VI's horizon: one matvec with the rows CompiledGameVi.F, agent-major
     to match the VI ordering. This is the unconstrained VI solution for
     every x0, and so the VI solution wherever it is feasible, in particular
-    inside the terminal set.
+    inside the terminal set. A state of the wrong length raises
+    DimensionMismatch.
     """
-    return compiled.F @ np.asarray(x0, dtype=float).ravel()
+    return compiled.F @ compiled.as_state(x0)
 
 
 def in_terminal_set(compiled, x):
@@ -675,16 +731,24 @@ def in_terminal_set(compiled, x):
     the input rows mapped through the feedback gains) with a strict margin
     of 1e-9; the tail from A_cl^h x on is covered by a norm-ball argument
     using sup_k ||A_cl^k||. Conservative: may reject boundary states, never
-    falsely accepts; a non-finite x is rejected.
+    falsely accepts; a non-finite x is rejected, and one of the wrong length
+    raises DimensionMismatch.
 
-    The rollout is one product with the rows [G; G A_cl; ..; G A_cl^(h-1)],
-    stacked once by compiled as two-sided bounds (see CompiledGameVi), so a
-    call costs one matvec, two comparisons and one norm.
+    A state within the inner ball that compiled certifies inside the set
+    (CompiledGameVi._inner_ball) is accepted after one norm; near the
+    attractor that is every state. Any other state goes on to the rollout:
+    one product with the rows [G; G A_cl; ..; G A_cl^(h-1)], stacked once by
+    compiled as two-sided bounds (see CompiledGameVi), so it costs one
+    matvec, two comparisons and one norm. Both paths give the same answer.
     """
-    rows, lower, upper, tail = compiled._terminal_test
-    x = np.asarray(x, dtype=float).ravel()
+    x = compiled.as_state(x)
     if not np.isfinite(x).all():
         return False
+    # vdot raises no overflow warning; the comparison is strict, so a state
+    # whose x . x overflows takes the rollout even when no row bounds the ball
+    if math.sqrt(np.vdot(x, x)) < compiled._terminal_ball:
+        return True
+    rows, lower, upper, tail = compiled._terminal_test
     v = rows @ x
     return bool((lower <= v).all() and (v <= upper).all()
                 and np.linalg.norm(tail @ x) <= compiled._terminal_radius)

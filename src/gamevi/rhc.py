@@ -7,7 +7,10 @@ the predicted terminal state); the run's solvers.DrWorkspace also carries
 the inner QP duals from step to step. Inside the terminal set the feedback
 rollout F x is feasible and therefore the solution in closed form: the step
 returns it after one matvec and one residual bound, with no QP solve -- the
-single-iteration regime visible in the iteration-count logs.
+single-iteration regime visible in the iteration-count logs. Near the
+attractor even the membership test is one norm: a state in the ball that
+compile_vi certifies inside the terminal set skips its stacked rows, so a
+closed-form step there costs O(n) beyond the rollout and residual matvecs.
 """
 
 import dataclasses
@@ -86,14 +89,15 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True
     and the residual r = ||E x||, E = M_ol F + qmap, without reading warm or
     solving a QP. u is feasible there (with the terminal set's margin) and
     the projection is nonexpansive, so r bounds u's natural residual; only
-    when r > cfg.tol does the step go on to DR. Raises Infeasible (annotated
+    when r > cfg.tol does the step go on to DR. Raises DimensionMismatch
+    when x is not of the game's state length, and Infeasible (annotated
     with the state) when U_T(x) is empty. workspace is the
     solvers.DrWorkspace of compiled, built here when omitted. A final
     projection that misses its KKT tolerance counts in the report's
     qp_not_optimal and turns ``converged`` into ``inner_inexact``.
     """
+    x = compiled.as_state(x)
     cfg = cfg or solvers.SolverConfig()
-    x = np.asarray(x, dtype=float).ravel()
     t0 = time.perf_counter()
     if terminal_shortcut and in_terminal_set(compiled, x):
         u = unconstrained_ne_sequence(compiled, x)
@@ -140,12 +144,13 @@ def simulate(compiled, x0, steps, cfg=None, terminal_shortcut=True):
 
     States propagate through the plant recursion x+ = A x + sum_i B_i u_i[0]
     one agent at a time (not through the condensed predictor), so a recorded
-    trace replays bit-identically. Raises Infeasible annotated with the
-    failing step index.
+    trace replays bit-identically. Raises DimensionMismatch when x0 is not
+    of the game's state length, and Infeasible annotated with the failing
+    step index.
     """
+    x = compiled.as_state(x0).copy()
     cfg = cfg or solvers.SolverConfig()
     game = compiled.game
-    x = np.asarray(x0, dtype=float).ravel().copy()
     workspace = solvers.DrWorkspace(compiled.splitting, compiled.D)
     states = np.zeros((steps + 1, game.n))
     offs = game.offsets

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately brute force and shares no code with the
-solvers: KKT solutions come from enumerating active sets, trajectories from
+solvers: KKT solutions come from enumerating active sets (or from one
+guessed active set, certified by the KKT conditions), trajectories from
 explicit python loops, and feasibility from direct inequality evaluation.
 """
 
@@ -49,6 +50,35 @@ def kkt_enumerate(M, q, D, d, feas_tol=1e-9):
                 continue
             best = u
     return best
+
+
+def kkt_certify(M, q, D, d, active):
+    """The solution of AVI(C, M, q) on {Du + d <= 0} with the rows active
+    tight, certified, or None.
+
+    Solves the equality KKT system [M  D_A'; D_A  0] [u; lam] = [-q; -d_A]
+    with np.linalg.solve, the one system kkt_enumerate solves per subset,
+    and returns u only when every multiplier is >= -1e-9 and every row
+    holds to 1e-9: u and lam then meet the KKT conditions of the AVI, so u
+    is its solution. Its input is the active-set guess, so it runs at any
+    size and shares no code with the solvers. A singular system gives None.
+    """
+    M = np.asarray(M, dtype=float)
+    q = np.asarray(q, dtype=float).ravel()
+    D = np.atleast_2d(np.asarray(D, dtype=float))
+    d = np.asarray(d, dtype=float).ravel()
+    rows = np.asarray(active, dtype=int)
+    n, r = M.shape[0], rows.size
+    Da = D[rows, :]
+    kkt = np.block([[M, Da.T], [Da, np.zeros((r, r))]])
+    try:
+        sol = np.linalg.solve(kkt, np.concatenate([-q, -d[rows]]))
+    except np.linalg.LinAlgError:
+        return None
+    u, lam = sol[:n], sol[n:]
+    if np.any(lam < -1e-9) or (d.size and np.max(D @ u + d) > 1e-9):
+        return None
+    return u
 
 
 def project_enumerate(D, d, v):

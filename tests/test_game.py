@@ -712,6 +712,73 @@ def test_in_terminal_set_state_free_rows(dx, inside):
     assert not G.in_terminal_set(c, [np.nan])
 
 
+def stacked_test(compiled, x):
+    """in_terminal_set's stacked rows test alone, read from compiled."""
+    rows, lower, upper, tail = compiled._terminal_test
+    v = rows @ x
+    return bool((lower <= v).all() and (v <= upper).all()
+                and np.linalg.norm(tail @ x) <= compiled._terminal_radius)
+
+
+@pytest.mark.parametrize("fixture", TERMINAL_GAMES)
+def test_terminal_ball_inside_stacked_test(fixture, request):
+    """Every state within the inner ball passes the stacked rows test: random
+    directions at random radii and on the ball's surface, and the directions
+    that tighten the ball's own bound (the row setting rho_rows and the top
+    right singular vector of A_cl^h)."""
+    c = request.getfixturevalue(fixture)[-1]
+    ball, n = c._terminal_ball, c.game.n
+    assert 0.0 < ball < np.inf
+    rows, lower, upper, tail = c._terminal_test
+    norms = np.linalg.norm(rows, axis=1)
+    reach = np.minimum(upper, -lower) / norms
+    tight = [rows[np.argmin(reach)] / norms[np.argmin(reach)],
+             np.linalg.svd(tail)[2][0]]
+    rng = np.random.default_rng(21)
+    for d in tight + list(rng.normal(size=(300, n))):
+        d = d / np.linalg.norm(d)
+        for scale in (1.0, -1.0, rng.uniform(-1.0, 1.0)):
+            x = scale * ball * d
+            if np.sqrt(x @ x) < ball:
+                assert stacked_test(c, x), (d, scale)
+                assert G.in_terminal_set(c, x)
+    # and it is no smaller than its bound: 1% beyond the slack, one of the
+    # tight directions leaves the set
+    outside = 1.01 * ball / (1.0 - 1e-6)
+    assert not all(stacked_test(c, s * outside * d) for d in tight for s in (1, -1))
+
+
+@pytest.mark.parametrize("dx, ball", [
+    (None, np.inf),                        # no constraint rows
+    (np.array([-1.0]), np.inf),            # a row that holds everywhere
+    (np.array([-0.5e-9]), -np.inf),        # a row short of the margin
+])
+def test_terminal_ball_state_free_rows(dx, ball):
+    """With no row on the state the ball is everything or nothing, as the
+    set is; a state whose x @ x overflows decides the same."""
+    one = np.array([[1.0]])
+    Dx = None if dx is None else np.zeros((1, 1))
+    c = G.compile_vi(G.LqGame(0.5 * one, [one], [one], [one], T=2, Dx=Dx, dx=dx))
+    assert c._terminal_ball == ball
+    assert G.in_terminal_set(c, [1e160]) == (ball > 0)
+
+
+@pytest.mark.parametrize("fixture", TERMINAL_GAMES)
+def test_wrong_length_state_raises(fixture, request):
+    """A state of the wrong length raises DimensionMismatch, also one of
+    norm 0 that the inner ball would otherwise accept."""
+    c = request.getfixturevalue(fixture)[-1]
+    n = c.game.n
+    for x in (np.zeros(n - 1), np.zeros(n + 1), np.ones(n + 2), np.zeros((n, 2))):
+        with pytest.raises(DimensionMismatch):
+            G.in_terminal_set(c, x)
+        with pytest.raises(DimensionMismatch):
+            G.unconstrained_ne_sequence(c, x)
+    # a single row or column of n entries is still a state
+    assert G.in_terminal_set(c, np.zeros((1, n)))
+    assert G.unconstrained_ne_sequence(c, np.zeros((n, 1))).shape == (c.F.shape[0],)
+
+
 def test_in_terminal_set_repeated_and_opposite_rows():
     """Rows that repeat or negate one another bound one quantity from both
     sides, the tightest offset on each side deciding."""

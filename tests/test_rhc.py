@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from gamevi import game as G
-from gamevi import qp, rhc, scenario
-from gamevi.errors import Infeasible, NonFiniteData, SpecError
+from gamevi import qp, rhc, scenario, solvers
+from gamevi.errors import DimensionMismatch, Infeasible, NonFiniteData, SpecError
 from gamevi.avi import natural_residual
 from gamevi.solvers import INNER_INEXACT, DrWorkspace, SolverConfig, dr_solve
 
-from oracles import simulate_states, terminal_set_rollout
+from oracles import kkt_certify, simulate_states, terminal_set_rollout
 
 
 def cfg(tol=1e-6, max_iter=2000):
@@ -125,6 +125,19 @@ def test_rhc_step_infeasible_raises():
     c = G.compile_vi(g)
     with pytest.raises(Infeasible):
         rhc.rhc_step(c, np.zeros(1), None, cfg())
+
+
+@pytest.mark.parametrize("shortcut", [True, False])
+def test_wrong_length_state_raises(crossroad4, shortcut):
+    # checked before any other work: not a numpy matmul or broadcast error
+    # from deep inside, and not an acceptance by the terminal set's inner
+    # ball, which a zero state of any length would pass
+    _, g, c = crossroad4
+    for x in (np.zeros(3), np.zeros(g.n + 1)):
+        with pytest.raises(DimensionMismatch):
+            rhc.rhc_step(c, x, None, cfg(), terminal_shortcut=shortcut)
+        with pytest.raises(DimensionMismatch):
+            rhc.simulate(c, x, 2, cfg(), terminal_shortcut=shortcut)
 
 
 def degrade_projections(monkeypatch, workspace, only_tol=None):
@@ -361,6 +374,65 @@ def test_crossroad_full_run_pinned(crossroad15_run):
     assert [accepted for _, accepted in calls] == [False] * 54 + [True] * 246
     assert all(trace.solver_iterations[t] == 1 for t in range(54, 300))
     assert all(np.array_equal(x, trace.states[t]) for t, (x, _) in enumerate(calls))
+
+
+def test_crossroad_terminal_ball_takes_the_tail(crossroad15, crossroad15_run):
+    # the inner ball alone accepts every state from step 89 on (211 of the
+    # 246 the terminal set accepts), so those steps skip the stacked rows
+    _, _, c = crossroad15
+    _, calls = crossroad15_run
+    in_ball = [np.sqrt(x @ x) < c._terminal_ball for x, _ in calls]
+    assert all(in_ball[89:]) and sum(in_ball) >= 200
+    assert all(accepted for (_, accepted), inside in zip(calls, in_ball) if inside)
+
+
+def crossroad_dr_steps(compiled, x0, tol):
+    """Every dr_solve of the 300-step loop from x0 at tol, as (problem,
+    answer, the last step-(a) duals read from the workspace)."""
+    steps = []
+    solve = solvers.dr_solve
+
+    def recording(p, cfg=None, warm=None, workspace=None):
+        report = solve(p, cfg=cfg, warm=warm, workspace=workspace)
+        steps.append((p, report.solution, workspace.duals["a"].copy()))
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "dr_solve", recording)
+        rhc.simulate(compiled, x0, 300, cfg(tol=tol, max_iter=5000))
+    return steps
+
+
+def certified_gaps(steps, bound):
+    """||u - u*|| / bound per step, u* the certified solution on the support
+    of the step's last step-(a) duals (None where it does not certify)."""
+    gaps = []
+    for p, u, lam in steps:
+        exact = kkt_certify(p.M, p.q, p.C.D, p.C.d, np.flatnonzero(lam > 0.0))
+        gaps.append(None if exact is None else np.linalg.norm(u - exact) / bound)
+    return gaps
+
+
+def test_crossroad_dr_steps_near_certified_solution(crossroad15):
+    """Each DR step of the default loop lies within (1 + L)/mu tol of the
+    exact VI solution, the error bound of a strongly monotone AVI whose
+    natural residual is tol; kkt_certify certifies that solution from the
+    support of the last step-(a) duals. An answer moved by 1.1 times the
+    bound fails the check."""
+    spec, _, c = crossroad15
+    tol = 1e-3
+    steps = crossroad_dr_steps(c, scenario.default_initial_state(spec), tol)
+    assert len(steps) == 54
+    M = c.M_ol
+    mu = np.linalg.eigvalsh((M + M.T) / 2.0)[0]
+    bound = (1.0 + np.linalg.norm(M, 2)) / mu * tol
+    gaps = certified_gaps(steps, bound)
+    assert None not in gaps
+    assert max(gaps) <= 1.0
+    d = np.random.default_rng(5).normal(size=M.shape[0])
+    moved = [(p, u + 1.1 * bound * d / np.linalg.norm(d), lam)
+             for p, u, lam in steps]
+    assert min(certified_gaps(moved, bound)) > 1.0
 
 
 def test_crossroad_terminal_set_matches_rollout_oracle(crossroad15, crossroad15_run):
