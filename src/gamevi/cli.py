@@ -178,8 +178,7 @@ def cmd_crossroad(args):
     x0 = (np.zeros(g.n) if args.x0 == "zero"
           else scenario.default_initial_state(spec))
     try:
-        trace = rhc.simulate(compiled, x0, args.steps, cfg,
-                             terminal_shortcut=not args.no_terminal_shortcut)
+        trace = rhc.simulate(compiled, x0, args.steps, cfg)
     except Infeasible as exc:
         _write_json(_error_payload(exc), os.path.join(args.out_dir, "error.json"))
         print(f"infeasible: {exc}", file=sys.stderr)
@@ -281,7 +280,6 @@ def _build_parser():
     cross.add_argument("--tol", type=float, default=1e-3)
     cross.add_argument("--max-iter", type=int, default=5000)
     cross.add_argument("--x0", choices=["default", "zero"], default="default")
-    cross.add_argument("--no-terminal-shortcut", action="store_true")
     cross.add_argument("--out-dir", default="crossroad_out")
     cross.set_defaults(func=cmd_crossroad)
 

@@ -449,8 +449,19 @@ def _augmented_riccati(game, riccati):
 # in_terminal_set's horizon and the strict margin it asks of every row
 _TERMINAL_HORIZON = 50
 _TERMINAL_MARGIN = 1e-9
-# relative margin of the terminal set's inner ball over the rounding of the
-# stacked test (CompiledGameVi._inner_ball)
+# _closed_loop_powers gives up after this many powers without a norm <= 1/2
+_POWER_CAP = 100_000
+# Relative margin of the terminal set's inner ball over the rounding of the
+# stacked test. The ball of radius min(rho_rows, tail / ||A_cl^h||_2), rho_rows
+# the _inner_radius of the stacked rows r = U A_cl^k (k < h), passes that test
+# in exact arithmetic: |r x| <= ||r|| ||x|| stays inside every row's bounds
+# (Cauchy-Schwarz), and ||A_cl^h x|| <= the tail radius. The computed r x is
+# off by at most n eps ||r|| ||x|| (the error of a dot product is at most n eps
+# sum_i |r_i x_i|), ||A_cl^h x|| by at most n^1.5 eps ||A_cl^h|| ||x||; the row
+# norms, the quotients, the SVD's ||A_cl^h||_2 and in_terminal_set's norm of x
+# are each right to a relative O(n eps). With n = 29 that adds up to about
+# 1e-14, far inside 1e-6, so a state the ball accepts passes the stacked test
+# as computed.
 _BALL_SLACK = 1e-6
 
 
@@ -472,12 +483,34 @@ def _two_sided(G, g):
     return np.reshape(U, (-1, G.shape[1])), np.array(lower), np.array(upper)
 
 
+def _inner_radius(rows, lower, upper):
+    """Radius of the largest ball around the origin inside lower <= rows y <=
+    upper: the smallest min(upper_i, -lower_i) / ||r_i|| over the nonzero rows.
+    -inf when a zero row excludes the origin, inf when no row depends on y."""
+    # row norms by einsum: a third of np.linalg.norm(rows, axis=1)'s time
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    nz = norms > 0.0
+    if not np.all((lower[~nz] <= 0.0) & (upper[~nz] >= 0.0)):
+        return -math.inf
+    return float(np.min(np.minimum(upper[nz], -lower[nz]) / norms[nz],
+                        initial=np.inf))
+
+
 def _closed_loop_powers(A_cl, count):
-    """The powers A_cl^0 .. A_cl^(count - 1), each the last times A_cl."""
-    powers = [np.eye(A_cl.shape[0])]
-    while len(powers) < count:
-        powers.append(powers[-1] @ A_cl)
-    return powers
+    """(powers, norms): the powers A_cl^0 .. A_cl^(count - 1), each the last
+    times A_cl, and the spectral norms ||A_cl^k||_2 from k = 0 on, at least
+    count of them and on until one is <= 1/2. Later powers factor through
+    that one, so max(norms) is sup_k ||A_cl^k||_2."""
+    power = np.eye(A_cl.shape[0])
+    powers, norms = [power], [1.0]
+    while len(norms) < count or norms[-1] > 0.5:
+        if len(norms) > _POWER_CAP:
+            raise NoConvergence("could not bound the closed-loop power norms")
+        power = power @ A_cl
+        if len(powers) < count:
+            powers.append(power)
+        norms.append(float(np.linalg.norm(power, 2)))
+    return powers, norms
 
 
 class CompiledGameVi:
@@ -505,11 +538,12 @@ class CompiledGameVi:
     h = 50, with nothing in it depending on the state: the feedback
     constraint rows along the loop stacked as [U; U A_cl; ..; U A_cl^(h-1)]
     with tiled lower and upper bounds (U holds each row of G once, the two
-    sides of a box sharing one row), A_cl^h and the tail radius, and the
-    radius of a ball around the origin certified inside the set
-    (_inner_ball), which lets the test accept states near the attractor
-    after one norm. The test and F are built here from the powers that
-    bound sup_k ||A_cl^k||, whose SVDs also give ||A_cl^h||_2 for the ball.
+    sides of a box sharing one row), A_cl^h and the tail radius
+    _inner_radius(U) / sup_k ||A_cl^k||_2, and the radius of a ball around
+    the origin certified inside the set (_BALL_SLACK), which lets the test
+    accept states near the attractor after one norm. One power walk
+    (_closed_loop_powers) gives the powers behind the test and F and the
+    norms behind both radii.
     """
 
     def __init__(self, game, riccati, augmented, theta, gamma, M_ol, qmap,
@@ -535,92 +569,29 @@ class CompiledGameVi:
         self._avi = AviProblem(M_ol, np.zeros(M_ol.shape[0]), self._polyhedron)
         # constraint rows seen by the equilibrium feedback, G x + g <= 0:
         # the terminal-set test checks them along the closed loop
-        G_mix = game.Ex + sum(game.Eu[i] @ riccati.K_ol[i] for i in range(game.N))
-        self._fb_rows = np.vstack([G_mix, game.Dx])
-        self._fb_offsets = np.concatenate([game.e, game.dx])
+        G = np.vstack([game.Ex + sum(game.Eu[i] @ riccati.K_ol[i]
+                                     for i in range(game.N)), game.Dx])
+        U, lower, upper = _two_sided(G, np.concatenate([game.e, game.dx]))
         h, n = _TERMINAL_HORIZON, game.n
-        powers = _closed_loop_powers(riccati.A_cl, max(h + 1, game.T))
-        power_sup, tail_norm = self._bound_power_norms(riccati.A_cl, powers, h)
-        self._terminal_radius = self._tail_radius(power_sup)
+        powers, norms = _closed_loop_powers(riccati.A_cl, max(h + 1, game.T))
         stacked = np.stack(powers)
-        U, lower, upper = _two_sided(self._fb_rows, self._fb_offsets)
         # (rows, lower, upper, A_cl^h)
         self._terminal_test = ((U @ stacked[:h]).reshape(-1, n), np.tile(lower, h),
                                np.tile(upper, h), powers[h])
-        self._terminal_ball = self._inner_ball(tail_norm)
+        # a state within the feasible radius shrunk by the worst transient
+        # amplification of the stable loop stays feasible for ever; -inf
+        # (nothing passes) when some row can never hold its margin
+        r_feas = _inner_radius(U, lower, upper)
+        self._terminal_radius = r_feas / max(norms) if r_feas > 0.0 else -math.inf
+        # within this radius ||A_cl^h x|| <= the tail radius; with A_cl^h = 0,
+        # anywhere unless nothing passes
+        reach = (self._terminal_radius / norms[h] if norms[h] > 0.0
+                 else math.copysign(math.inf, self._terminal_radius))
+        self._terminal_ball = (1.0 - _BALL_SLACK) * min(
+            _inner_radius(*self._terminal_test[:3]), reach)
         self.F = np.vstack([(K @ stacked[:game.T]).reshape(-1, n)
                             for K in riccati.K_ol])
         self.E = M_ol @ self.F + qmap
-
-    @staticmethod
-    def _bound_power_norms(A_cl, powers, h, cap=100_000):
-        """(sup_k ||A_cl^k||_2, ||A_cl^h||_2). The sup is bounded by the
-        prefix maximum once some power has norm <= 1/2 (later powers factor
-        through it). powers holds A_cl^0, .., A_cl^h at least; the loop goes
-        on from there, and A_cl^h's norm is the loop's own when it gets that
-        far."""
-        sup, norms = 1.0, []
-        power = powers[0]
-        for k in range(1, cap + 1):
-            power = powers[k] if k < len(powers) else power @ A_cl
-            norms.append(float(np.linalg.norm(power, 2)))
-            sup = max(sup, norms[-1])
-            if norms[-1] <= 0.5:
-                return sup, (norms[h - 1] if k >= h
-                             else float(np.linalg.norm(powers[h], 2)))
-        raise NoConvergence("could not bound the closed-loop power norms")
-
-    def _tail_radius(self, power_sup):
-        """Radius of the ball around the origin certified strictly feasible
-        (margin _TERMINAL_MARGIN) for every row, shrunk by the worst transient
-        amplification power_sup of the stable closed loop: a state within it
-        stays feasible for ever. inf when no row depends on the state;
-        -inf when some row can never hold its margin, so nothing passes."""
-        G, g = self._fb_rows, self._fb_offsets
-        norms = np.linalg.norm(G, axis=1)
-        nz = norms > 0.0
-        if np.any(~nz & (g > -_TERMINAL_MARGIN)):
-            return -np.inf
-        if not np.any(nz):
-            return np.inf
-        r_feas = np.min((-g[nz] - _TERMINAL_MARGIN) / norms[nz])
-        return r_feas / power_sup if r_feas > 0.0 else -np.inf
-
-    def _inner_ball(self, tail_norm):
-        """Radius of a Euclidean ball around the origin inside the terminal
-        set: (1 - _BALL_SLACK) min(rho_rows, _terminal_radius / ||A_cl^h||_2).
-
-        rho_rows is the smallest of upper / ||r|| and -lower / ||r|| over the
-        stacked rows r = U A_cl^k (k < h) with their bounds; a zero row
-        gives inf when lower <= 0 <= upper and -inf otherwise. A state x
-        with ||x|| <= rho_rows has |r x| <= ||r|| ||x|| inside every row's
-        bounds (Cauchy-Schwarz), and one with ||x|| <= _terminal_radius /
-        ||A_cl^h|| has ||A_cl^h x|| <= _terminal_radius: so the whole ball
-        passes in_terminal_set's stacked test, in exact arithmetic.
-
-        The slack covers that test's rounding. The computed r x is off by
-        at most n eps ||r|| ||x|| (the error of a dot product is at most n
-        eps sum_i |r_i x_i|), ||A_cl^h x|| by at most n^1.5 eps ||A_cl^h||
-        ||x||; the row norms, the quotients, the SVD's ||A_cl^h||_2 and the
-        caller's norm of x are each right to a relative O(n eps). With
-        n = 29 that adds up to about 1e-14, far inside 1e-6, so a state the
-        ball accepts passes the stacked test as computed. -inf (nothing
-        passes) when some row or the tail can never hold; inf when no row
-        depends on the state.
-        """
-        rows, lower, upper, _ = self._terminal_test
-        # row norms by einsum: a third of np.linalg.norm(rows, axis=1)'s time
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-        nz = norms > 0.0
-        if not np.all((lower[~nz] <= 0.0) & (upper[~nz] >= 0.0)):
-            return -np.inf
-        if self._terminal_radius < 0.0:
-            return -np.inf
-        rho = np.min(np.minimum(upper[nz], -lower[nz]) / norms[nz],
-                     initial=np.inf)
-        tail = (self._terminal_radius / tail_norm if tail_norm > 0.0
-                else np.inf)
-        return (1.0 - _BALL_SLACK) * float(min(rho, tail))
 
     def as_state(self, x):
         """x as a flat float vector; DimensionMismatch unless it has the
@@ -633,10 +604,10 @@ class CompiledGameVi:
 
     def q_of(self, x0):
         """Affine offset col_i(Gamma_i' Qbar_i Theta x0) of the VI."""
-        return self.qmap @ np.asarray(x0, dtype=float).ravel()
+        return self.qmap @ self.as_state(x0)
 
     def offsets_at(self, x0):
-        return self.d0 + self.Dmap @ np.asarray(x0, dtype=float).ravel()
+        return self.d0 + self.Dmap @ self.as_state(x0)
 
     def polyhedron_at(self, x0):
         """U_T(x0) = {u : D u + offsets_at(x0) <= 0}; D was checked at
@@ -661,7 +632,7 @@ class CompiledGameVi:
     def predict(self, x0, u):
         """Stacked predicted states col(x[1], ..., x[T]) under the stacked
         input u from x0."""
-        return self.theta @ np.asarray(x0, dtype=float).ravel() + self.gamma @ u
+        return self.theta @ self.as_state(x0) + self.gamma @ u
 
     def first_stage(self, u):
         """Extract col_i(u_i[0]) from a stacked full-horizon input."""
@@ -734,9 +705,10 @@ def in_terminal_set(compiled, x):
     falsely accepts; a non-finite x is rejected, and one of the wrong length
     raises DimensionMismatch.
 
-    A state within the inner ball that compiled certifies inside the set
-    (CompiledGameVi._inner_ball) is accepted after one norm; near the
-    attractor that is every state. Any other state goes on to the rollout:
+    A state within the ball that compiled certifies inside the set
+    (CompiledGameVi._terminal_ball, the smaller of the stacked rows' and the
+    tail's inner radius, see _BALL_SLACK) is accepted after one norm; near
+    the attractor that is every state. Any other state goes on to the rollout:
     one product with the rows [G; G A_cl; ..; G A_cl^(h-1)], stacked once by
     compiled as two-sided bounds (see CompiledGameVi), so it costs one
     matvec, two comparisons and one norm. Both paths give the same answer.
@@ -848,7 +820,7 @@ def best_response(compiled, x0, agent, others, tol=1e-8):
     """
     game = compiled.game
     i = int(agent)
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = compiled.as_state(x0)
     others = np.asarray(others, dtype=float).ravel()
     n, T = game.n, game.T
     sl = game.agent_slice(i)

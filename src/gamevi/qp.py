@@ -49,6 +49,9 @@ _FACTOR_CACHE = 64
 # a set met by a step ends the steps
 _PIVOT_RATIO = 1e-5
 
+# certify_feasibility's optimal slack counts as zero within this tolerance
+_SLACK_TOL = 1e-9
+
 
 def _check_symmetric(P):
     """Raise NotSymmetric unless |P - P'| <= 1e-12 max(1, max|P|): a
@@ -82,11 +85,12 @@ class FeasibilityReport:
     feasible: bool
 
 
-def certify_feasibility(D, d, strict_tol=1e-9):
+def certify_feasibility(D, d):
     """Maximize s subject to Du + d + s*1 <= 0, s <= 1 (an LP).
 
     The polyhedron is strictly feasible iff the optimal s is positive,
-    feasible iff s >= 0, and certifiably empty iff s < 0.
+    feasible iff s >= 0, and certifiably empty iff s < 0, each up to
+    _SLACK_TOL.
     """
     D = np.asarray(D, dtype=float)
     d = np.asarray(d, dtype=float).ravel()
@@ -102,7 +106,7 @@ def certify_feasibility(D, d, strict_tol=1e-9):
     if res.status != 0:
         raise GameViError(f"slack-maximization LP failed: {res.message}")
     s = float(res.x[-1])
-    return FeasibilityReport(s, res.x[:n].copy(), s > strict_tol, s >= -strict_tol)
+    return FeasibilityReport(s, res.x[:n].copy(), s > _SLACK_TOL, s >= -_SLACK_TOL)
 
 
 def _kkt_error(stationarity, violation, complementarity):

@@ -4,13 +4,14 @@ Each step solves AVI(U_T(x), M, q_x) from a warm start, applies the first
 stage col_i(u_i*[0]) to the plant, and warm-starts the next step with the
 shifted solution (drop the first stage, append the equilibrium feedback at
 the predicted terminal state); the run's solvers.DrWorkspace also carries
-the inner QP duals from step to step. Inside the terminal set the feedback
-rollout F x is feasible and therefore the solution in closed form: the step
-returns it after one matvec and one residual bound, with no QP solve -- the
-single-iteration regime visible in the iteration-count logs. Near the
-attractor even the membership test is one norm: a state in the ball that
-compile_vi certifies inside the terminal set skips its stacked rows, so a
-closed-form step there costs O(n) beyond the rollout and residual matvecs.
+the inner QP duals from step to step. Every step first tests the terminal
+set: inside it the feedback rollout F x is feasible and therefore the
+solution in closed form, so the step returns it after one matvec and one
+residual bound, with no QP solve -- the single-iteration regime visible in
+the iteration-count logs. Near the attractor even the membership test is one
+norm: a state in the ball that compile_vi certifies inside the terminal set
+skips its stacked rows, so a closed-form step there costs O(n) beyond the
+rollout and residual matvecs.
 """
 
 import dataclasses
@@ -76,7 +77,7 @@ def _step_margins(game, x, u0, x_next):
     return np.concatenate([mixed, state])
 
 
-def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True):
+def rhc_step(compiled, x, warm, cfg=None, workspace=None):
     """One receding-horizon step: returns (applied first-stage input, report).
 
     The applied sequence is the feasibility projection of the converged
@@ -84,22 +85,23 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None, terminal_shortcut=True
     it the plant would see constraint violations of the order of the solver
     tolerance); at convergence the two differ by at most the tolerance.
 
-    With the shortcut enabled, a state inside the terminal set returns the
-    feedback rollout u = F x (unconstrained_ne_sequence) with one iteration
-    and the residual r = ||E x||, E = M_ol F + qmap, without reading warm or
-    solving a QP. u is feasible there (with the terminal set's margin) and
-    the projection is nonexpansive, so r bounds u's natural residual; only
-    when r > cfg.tol does the step go on to DR. Raises DimensionMismatch
-    when x is not of the game's state length, and Infeasible (annotated
-    with the state) when U_T(x) is empty. workspace is the
-    solvers.DrWorkspace of compiled, built here when omitted. A final
-    projection that misses its KKT tolerance counts in the report's
-    qp_not_optimal and turns ``converged`` into ``inner_inexact``.
+    The step tests in_terminal_set first. A state inside the terminal set
+    returns the feedback rollout u = F x (unconstrained_ne_sequence) with one
+    iteration and the residual r = ||E x||, E = M_ol F + qmap, without
+    reading warm or solving a QP. u is feasible there (with the terminal
+    set's margin) and the projection is nonexpansive, so r bounds u's
+    natural residual; only when r > cfg.tol does the step go on to DR. Any
+    other state goes to DR from warm. Raises DimensionMismatch when x is
+    not of the game's state length, and Infeasible (annotated with the
+    state) when U_T(x) is empty. workspace is the solvers.DrWorkspace of
+    compiled, built here when omitted. A final projection that misses its
+    KKT tolerance counts in the report's qp_not_optimal and turns
+    ``converged`` into ``inner_inexact``.
     """
     x = compiled.as_state(x)
     cfg = cfg or solvers.SolverConfig()
     t0 = time.perf_counter()
-    if terminal_shortcut and in_terminal_set(compiled, x):
+    if in_terminal_set(compiled, x):
         u = unconstrained_ne_sequence(compiled, x)
         r = float(np.linalg.norm(compiled.E @ x))
         if r <= cfg.tol:
@@ -139,7 +141,7 @@ def _initial_warm_start(compiled, x0, workspace):
     return sol.y if sol.optimal else u
 
 
-def simulate(compiled, x0, steps, cfg=None, terminal_shortcut=True):
+def simulate(compiled, x0, steps, cfg=None):
     """Closed-loop simulation for the given number of steps.
 
     States propagate through the plant recursion x+ = A x + sum_i B_i u_i[0]
@@ -165,8 +167,7 @@ def simulate(compiled, x0, steps, cfg=None, terminal_shortcut=True):
                          slack=exc.slack) from exc
     for t in range(steps):
         try:
-            u0, report = rhc_step(compiled, x, warm, cfg, workspace,
-                                  terminal_shortcut)
+            u0, report = rhc_step(compiled, x, warm, cfg, workspace)
         except Infeasible as exc:
             raise Infeasible(f"constraint set empty at step {t}: {exc}",
                              slack=exc.slack) from exc
@@ -184,7 +185,6 @@ def simulate(compiled, x0, steps, cfg=None, terminal_shortcut=True):
         "horizon": game.T,
         "tol": cfg.tol,
         "max_iter": cfg.max_iter,
-        "terminal_shortcut": bool(terminal_shortcut),
     }
     return ClosedLoopTrace(states, inputs, iterations, residuals, margins,
                            statuses, meta)

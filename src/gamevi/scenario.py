@@ -61,10 +61,10 @@ def load_conflict_table():
     return table
 
 
-def derive_precedence(directions, table=None):
+def derive_precedence(directions):
     """chi[i]: index of the latest earlier vehicle whose path conflicts with
-    vehicle i's, or None for leaders."""
-    table = table or load_conflict_table()
+    vehicle i's in the shipped conflict table, or None for leaders."""
+    table = load_conflict_table()
     for d in directions:
         if d not in DIRECTIONS:
             raise SpecError(f"unknown direction {d!r}")

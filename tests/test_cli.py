@@ -269,14 +269,15 @@ def test_crossroad_tail_iterations_single(tmp_path):
     assert all(it == 1 for it in iters[-30:])
 
 
-def test_crossroad_no_terminal_shortcut_same_trajectory(tmp_path):
+def test_crossroad_no_terminal_shortcut_same_trajectory(tmp_path, monkeypatch):
+    # the second run solves every step by DR: the closed form changes nothing
     a = tmp_path / "with"
     b = tmp_path / "without"
     assert cli.main(["crossroad", "--vehicles", "2", "--steps", "30",
                      "--tol", "1e-8", "--out-dir", str(a)]) == 0
+    monkeypatch.setattr(rhc, "in_terminal_set", lambda c, x: False)
     assert cli.main(["crossroad", "--vehicles", "2", "--steps", "30",
-                     "--tol", "1e-8", "--no-terminal-shortcut",
-                     "--out-dir", str(b)]) == 0
+                     "--tol", "1e-8", "--out-dir", str(b)]) == 0
     ta = rhc.read_trace_json(a / "trace.json")
     tb = rhc.read_trace_json(b / "trace.json")
     assert np.allclose(ta.states, tb.states, atol=1e-6)
@@ -427,3 +428,33 @@ def test_validate_non_finite_problem_error_json(tmp_path, capsys):
 
 def test_validate_missing_file():
     assert cli.main(["validate", "--problem", "/no/such.json"]) == 2
+
+
+# ---------------------------------------------------------------- CLI surface
+# Pinned like gamevi.__all__ in test_api.py: a flag or trace.json meta change
+# shows up as a change to these lists.
+
+OPTIONS = {
+    "bench": ["-h", "--help", "--seed", "--instances", "--n", "--m", "--algos",
+              "--tol", "--max-iter", "--out-dir"],
+    "solve": ["-h", "--help", "--problem", "--algo", "--tol", "--max-iter", "--out"],
+    "crossroad": ["-h", "--help", "--vehicles", "--steps", "--horizon", "--tol",
+                  "--max-iter", "--x0", "--out-dir"],
+    "validate": ["-h", "--help", "--problem", "--game", "--out"],
+}
+
+TRACE_META = ["game_meta", "horizon", "max_iter", "steps", "tol", "vehicles", "x0"]
+
+
+def test_cli_options_are_pinned():
+    parser = cli._build_parser()
+    [sub] = [a for a in parser._actions if a.choices and a.dest == "command"]
+    assert {name: [s for a in p._actions for s in a.option_strings]
+            for name, p in sub.choices.items()} == OPTIONS
+
+
+def test_crossroad_trace_meta_is_pinned(tmp_path):
+    assert cli.main(["crossroad", "--vehicles", "1", "--steps", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "trace.json").read_text())["meta"]
+    assert sorted(meta) == TRACE_META

@@ -620,6 +620,9 @@ def test_in_terminal_set_origin_and_violation(small_game2):
 def test_in_terminal_set_sound_vs_long_rollout(small_game2):
     """Membership implies the 10x longer simulation stays strictly inside."""
     g, c = small_game2
+    G_fb = np.vstack([g.Ex + sum(Eu @ K for Eu, K in zip(g.Eu, c.riccati.K_ol)),
+                      g.Dx])
+    g_fb = np.concatenate([g.e, g.dx])
     rng = np.random.default_rng(9)
     horizon = 50
     accepted = 0
@@ -630,7 +633,7 @@ def test_in_terminal_set_sound_vs_long_rollout(small_game2):
         accepted += 1
         y = x.copy()
         for _ in range(10 * horizon):
-            assert np.max(c._fb_rows @ y + c._fb_offsets) < 0.0
+            assert np.max(G_fb @ y + g_fb) < 0.0
             y = c.riccati.A_cl @ y
     assert accepted >= 5
 
@@ -763,10 +766,44 @@ def test_terminal_ball_state_free_rows(dx, ball):
     assert G.in_terminal_set(c, [1e160]) == (ball > 0)
 
 
+@pytest.mark.parametrize("rows, lower, upper, radius", [
+    # lower = -inf rows bound one side; the tighter side of a two-sided row
+    ([[3.0, 4.0]], [-np.inf], [10.0], 2.0),
+    ([[3.0, 4.0], [0.0, 2.0]], [-5.0, -np.inf], [10.0, 3.0], 1.0),
+    # a zero row inside the margin is ignored, one outside it excludes all
+    ([[0.0, 0.0], [0.0, 2.0]], [-np.inf, -np.inf], [0.0, 3.0], 1.5),
+    ([[0.0, 0.0], [0.0, 2.0]], [-np.inf, -np.inf], [-1e-12, 3.0], -np.inf),
+    ([[0.0, 0.0], [0.0, 2.0]], [1e-12, -np.inf], [1.0, 3.0], -np.inf),
+    # no row depends on the state
+    ([[0.0, 0.0]], [-1.0], [1.0], np.inf),
+    (np.zeros((0, 2)), [], [], np.inf),
+])
+def test_inner_radius(rows, lower, upper, radius):
+    got = G._inner_radius(np.array(rows, dtype=float).reshape(-1, 2),
+                          np.array(lower, dtype=float), np.array(upper, dtype=float))
+    assert got == radius
+
+
+def test_closed_loop_powers_walk_past_count(monkeypatch):
+    """The norms go on past count until one is <= 1/2, so max(norms) is the
+    sup even when the transient peaks late (here near k = 100); no power
+    past count is kept. Without a norm <= 1/2 the walk gives up."""
+    A = np.array([[0.99, 1.0], [0.0, 0.99]])
+    powers, norms = G._closed_loop_powers(A, 3)
+    assert len(powers) == 3 and np.array_equal(powers[2], np.eye(2) @ A @ A)
+    assert norms[0] == 1.0 and norms[-1] <= 0.5 < min(norms[1:-1])
+    brute = [np.linalg.norm(np.linalg.matrix_power(A, k), 2) for k in range(2000)]
+    assert max(norms) == pytest.approx(max(brute), rel=1e-12)
+    monkeypatch.setattr(G, "_POWER_CAP", 10)
+    with pytest.raises(NoConvergence):
+        G._closed_loop_powers(np.eye(2), 3)
+
+
 @pytest.mark.parametrize("fixture", TERMINAL_GAMES)
 def test_wrong_length_state_raises(fixture, request):
-    """A state of the wrong length raises DimensionMismatch, also one of
-    norm 0 that the inner ball would otherwise accept."""
+    """A state of the wrong length raises DimensionMismatch wherever the
+    compiled VI takes a state, also one of norm 0 that the inner ball would
+    otherwise accept."""
     c = request.getfixturevalue(fixture)[-1]
     n = c.game.n
     for x in (np.zeros(n - 1), np.zeros(n + 1), np.ones(n + 2), np.zeros((n, 2))):
@@ -774,6 +811,12 @@ def test_wrong_length_state_raises(fixture, request):
             G.in_terminal_set(c, x)
         with pytest.raises(DimensionMismatch):
             G.unconstrained_ne_sequence(c, x)
+        u = np.zeros(c.game.input_dim)
+        for call in (c.q_of, c.offsets_at, c.polyhedron_at, c.avi_at,
+                     lambda x: c.predict(x, u),
+                     lambda x: G.best_response(c, x, 0, u)):
+            with pytest.raises(DimensionMismatch):
+                call(x)
     # a single row or column of n entries is still a state
     assert G.in_terminal_set(c, np.zeros((1, n)))
     assert G.unconstrained_ne_sequence(c, np.zeros((n, 1))).shape == (c.F.shape[0],)

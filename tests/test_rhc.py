@@ -85,14 +85,14 @@ def test_rhc_step_shortcut_reports_wall_time(small_game2):
     assert report.wall_time > 0.0
 
 
-def test_rhc_step_shortcut_matches_full_solve(small_game2):
+def test_rhc_step_shortcut_matches_full_solve(small_game2, monkeypatch):
     g, c = small_game2
     rng = np.random.default_rng(2)
     x = 0.05 * rng.normal(size=g.n)
     warm = G.unconstrained_ne_sequence(c, x)
-    u_short, _ = rhc.rhc_step(c, x, warm, cfg(tol=1e-6), terminal_shortcut=True)
-    u_full, rep_full = rhc.rhc_step(c, x, warm, cfg(tol=1e-6),
-                                    terminal_shortcut=False)
+    u_short, _ = rhc.rhc_step(c, x, warm, cfg(tol=1e-6))
+    monkeypatch.setattr(rhc, "in_terminal_set", lambda c, x: False)
+    u_full, rep_full = rhc.rhc_step(c, x, warm, cfg(tol=1e-6))
     assert rep_full.iterations == 1
     assert np.allclose(u_short, u_full, atol=1e-8)
 
@@ -128,16 +128,20 @@ def test_rhc_step_infeasible_raises():
 
 
 @pytest.mark.parametrize("shortcut", [True, False])
-def test_wrong_length_state_raises(crossroad4, shortcut):
+def test_wrong_length_state_raises(crossroad4, shortcut, monkeypatch):
     # checked before any other work: not a numpy matmul or broadcast error
     # from deep inside, and not an acceptance by the terminal set's inner
     # ball, which a zero state of any length would pass
     _, g, c = crossroad4
+    if not shortcut:
+        monkeypatch.setattr(rhc, "in_terminal_set", lambda c, x: False)
     for x in (np.zeros(3), np.zeros(g.n + 1)):
         with pytest.raises(DimensionMismatch):
-            rhc.rhc_step(c, x, None, cfg(), terminal_shortcut=shortcut)
+            rhc.rhc_step(c, x, None, cfg())
         with pytest.raises(DimensionMismatch):
-            rhc.simulate(c, x, 2, cfg(), terminal_shortcut=shortcut)
+            rhc.simulate(c, x, 2, cfg())
+        with pytest.raises(DimensionMismatch):
+            rhc.shift_warm_start(np.zeros(g.input_dim), c, x)
 
 
 def degrade_projections(monkeypatch, workspace, only_tol=None):
