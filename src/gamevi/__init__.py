@@ -5,9 +5,9 @@ __version__ = "0.1.0"
 
 from .avi import (AviProblem, Polyhedron, monotonicity_constants,
                   natural_residual, project, validate)
-from .game import (CompiledGameVi, LqGame, best_response, check_care_solvability,
-                   compile_vi, in_terminal_set, solve_are,
-                   solve_coupled_riccati, unconstrained_ne_sequence)
+from .game import (CompiledGameVi, LqGame, best_response, compile_vi,
+                   in_terminal_set, solve_are, solve_coupled_riccati,
+                   unconstrained_ne_sequence)
 from .qp import QpSolution
 from .rhc import ClosedLoopTrace, rhc_step, shift_warm_start, simulate
 from .scenario import (CrossroadSpec, build_crossroad, default_15_vehicle_spec,
@@ -19,8 +19,8 @@ from .solvers import (ALGORITHMS, SolverConfig, SolverReport, Splitting,
 __all__ = [
     "AviProblem", "Polyhedron", "monotonicity_constants", "natural_residual",
     "project", "validate",
-    "CompiledGameVi", "LqGame", "best_response", "check_care_solvability",
-    "compile_vi", "in_terminal_set", "solve_are", "solve_coupled_riccati",
+    "CompiledGameVi", "LqGame", "best_response", "compile_vi",
+    "in_terminal_set", "solve_are", "solve_coupled_riccati",
     "unconstrained_ne_sequence",
     "QpSolution",
     "ClosedLoopTrace", "rhc_step", "shift_warm_start", "simulate",

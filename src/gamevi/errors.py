@@ -59,10 +59,6 @@ class NoConvergence(GameViError, RuntimeError):
     """An iterative equation solver failed to reach its tolerance."""
 
 
-class SingularA(GameViError, ValueError):
-    """The dynamics matrix must be invertible for this diagnostic."""
-
-
 class SpecError(GameViError, ValueError):
     """A scenario specification or data file is inconsistent or incomplete."""
 

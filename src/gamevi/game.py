@@ -30,21 +30,18 @@ import json
 import math
 
 import numpy as np
-import scipy.linalg
 from numpy import kron
 
 from . import qp
 from .avi import AviProblem, Polyhedron
-from .errors import (DimensionMismatch, NoConvergence, NonFiniteData, SingularA,
-                     spec_file)
+from .errors import DimensionMismatch, NoConvergence, NonFiniteData, spec_file
 from .solvers import make_dr_splitting
 
 __all__ = [
     "LqGame", "RiccatiSolution", "AugmentedRiccati", "CompiledGameVi",
-    "StandingAssumptionsDiagnosis", "CareSolvabilityDiagnosis", "solve_coupled_riccati",
-    "build_augmented", "solve_are", "compile_vi",
-    "unconstrained_ne_sequence", "in_terminal_set", "check_standing_assumptions",
-    "check_care_solvability", "best_response", "read_game", "write_game",
+    "solve_coupled_riccati", "build_augmented", "solve_are", "compile_vi",
+    "unconstrained_ne_sequence", "in_terminal_set", "best_response",
+    "read_game", "write_game",
 ]
 
 
@@ -228,6 +225,14 @@ class RiccatiSolution:
     spectral_radius: float
 
 
+def _solve_r(R, Bt, name):
+    """R^{-1} B'; NoConvergence naming the input weight when R is singular."""
+    try:
+        return np.linalg.solve(R, Bt)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"input weight {name} is singular: {exc}") from exc
+
+
 def solve_coupled_riccati(game, tol=1e-10, max_iter=10_000):
     """Fixed-point sweep for the coupled AREs
 
@@ -239,8 +244,8 @@ def solve_coupled_riccati(game, tol=1e-10, max_iter=10_000):
     from P_i = Q_i, K_i = 0. The per-sweep P increment equals the equation
     residual at the current iterate, so the stopping rule is the residual;
     tol is measured relative to 1 + max|P| to stay meaningful when the
-    cost-to-go matrices are large. max_iter counts sweeps; a non-finite or
-    exploding (> 1e14) increment raises NoConvergence.
+    cost-to-go matrices are large. max_iter counts sweeps; a singular R_i
+    and a non-finite or exploding (> 1e14) increment raise NoConvergence.
 
     A sweep is a handful of stacked products: with Bs = [B_1 .. B_N] and
     L = blkdiag(R_i^{-1} B_i') vstack(P_i), the K-system is
@@ -251,7 +256,7 @@ def solve_coupled_riccati(game, tol=1e-10, max_iter=10_000):
     n, N, offs = game.n, game.N, game.offsets
     P = Q.copy()
     Bs = np.hstack(game.B)
-    RinvBt = blkdg([np.linalg.solve(game.R[i], game.B[i].T) for i in range(N)])
+    RinvBt = blkdg([_solve_r(game.R[i], game.B[i].T, f"R[{i}]") for i in range(N)])
     I_m = np.eye(offs[-1])
 
     def sweep_K(P):
@@ -327,17 +332,17 @@ def solve_are(A_hat, B_hat, Q_hat, R, tol=1e-12, max_iter=64):
     P = Q and converges quadratically to the stabilizing solution. G and H
     are symmetrized every doubling; the loop stops when the H increment
     falls below tol relative to 1 + max|H|. max_iter counts doublings, not
-    sweeps. NoConvergence is raised when an iterate turns non-finite (an
-    unstable mode the input cannot reach overflows within about ten
-    doublings) or the cap is hit; there is no absolute size limit, since a
-    stabilizing solution may legitimately be very large.
+    sweeps. NoConvergence is raised when R is singular, when an iterate
+    turns non-finite (an unstable mode the input cannot reach overflows
+    within about ten doublings) or when the cap is hit; there is no absolute
+    size limit, since a stabilizing solution may legitimately be very large.
     """
     A = np.asarray(A_hat, dtype=float)
     B = np.asarray(B_hat, dtype=float)
     Q = np.asarray(Q_hat, dtype=float)
     R = np.atleast_2d(np.asarray(R, dtype=float))
     n = A.shape[0]
-    G = B @ np.linalg.solve(R, B.T)
+    G = B @ _solve_r(R, B.T, "R")
     G = (G + G.T) / 2.0
     H, Ak = Q.copy(), A
     I_n = np.eye(n)
@@ -724,87 +729,6 @@ def in_terminal_set(compiled, x):
     v = rows @ x
     return bool((lower <= v).all() and (v <= upper).all()
                 and np.linalg.norm(tail @ x) <= compiled._terminal_radius)
-
-
-@dataclasses.dataclass
-class StandingAssumptionsDiagnosis:
-    """Per-agent structural checks: Q PSD, R PD, (A, B_i) stabilizable and
-    (A, C_i) detectable (PBH rank tests; null(Q_i) = null(C_i), so Q_i can
-    stand in for C_i). Diagnostics only -- constructors never enforce them.
-    """
-    q_psd: list
-    r_pd: list
-    stabilizable: list
-    detectable: list
-
-    @property
-    def holds(self):
-        return (all(self.q_psd) and all(self.r_pd)
-                and all(self.stabilizable) and all(self.detectable))
-
-
-def check_standing_assumptions(game, tol=1e-9):
-    eigs_a = np.linalg.eigvals(game.A)
-    unstable = [lam for lam in eigs_a if abs(lam) >= 1.0 - tol]
-    n = game.n
-    q_psd, r_pd, stabilizable, detectable = [], [], [], []
-    for i in range(game.N):
-        Q, R = game.Q[i], game.R[i]
-        q_psd.append(bool(np.min(np.linalg.eigvalsh((Q + Q.T) / 2)) >= -tol))
-        r_pd.append(bool(np.min(np.linalg.eigvalsh((R + R.T) / 2)) > tol))
-        stab = all(
-            np.linalg.matrix_rank(np.hstack([lam * np.eye(n) - game.A, game.B[i]]),
-                                  tol=1e-10) == n
-            for lam in unstable)
-        det = all(
-            np.linalg.matrix_rank(np.vstack([lam * np.eye(n) - game.A, Q]),
-                                  tol=1e-10) == n
-            for lam in unstable)
-        stabilizable.append(bool(stab))
-        detectable.append(bool(det))
-    return StandingAssumptionsDiagnosis(q_psd, r_pd, stabilizable, detectable)
-
-
-@dataclasses.dataclass
-class CareSolvabilityDiagnosis:
-    """Eigenstructure diagnostic for solvability of the coupled AREs."""
-    n: int
-    stable_count: int
-    complementary: bool
-    eigenvalues: np.ndarray
-
-    @property
-    def holds(self):
-        return self.stable_count == self.n and self.complementary
-
-
-def check_care_solvability(game):
-    """Count stable eigenvalues of the structured pencil matrix H and test
-    whether its stable invariant subspace is complementary to the costate
-    coordinates (rank of the top n rows of the stable Schur basis).
-
-    Raises SingularA when A is not (numerically) invertible.
-    """
-    A = game.A
-    n, N = game.n, game.N
-    if np.linalg.cond(A) > 1e12:
-        raise SingularA("A must be invertible for the solvability diagnostic")
-    A_inv_T = np.linalg.inv(A.T)
-    S = [game.B[i] @ np.linalg.solve(game.R[i], game.B[i].T) for i in range(N)]
-    H = np.zeros((n + N * n, n + N * n))
-    H[:n, :n] = A + sum(S[j] @ A_inv_T @ game.Q[j] for j in range(N))
-    for j in range(N):
-        H[:n, n + j * n:n + (j + 1) * n] = -S[j] @ A_inv_T
-        H[n + j * n:n + (j + 1) * n, :n] = -A_inv_T @ game.Q[j]
-    H[n:, n:] = kron(np.eye(N), A_inv_T)
-    Tmat, Z, sdim = scipy.linalg.schur(H, output="real", sort="iuc")
-    eigenvalues = np.linalg.eigvals(H)
-    complementary = False
-    if sdim > 0:
-        basis_top = Z[:n, :sdim]
-        svals = np.linalg.svd(basis_top, compute_uv=False)
-        complementary = (sdim == n) and bool(svals[-1] > 1e-10)
-    return CareSolvabilityDiagnosis(n, int(sdim), complementary, eigenvalues)
 
 
 def best_response(compiled, x0, agent, others, tol=1e-8):

@@ -91,7 +91,8 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None):
     reading warm or solving a QP. u is feasible there (with the terminal
     set's margin) and the projection is nonexpansive, so r bounds u's
     natural residual; only when r > cfg.tol does the step go on to DR. Any
-    other state goes to DR from warm. Raises DimensionMismatch when x is
+    other state goes to DR from warm (zeros when None; dr_solve checks its
+    length and finiteness). Raises DimensionMismatch when x is
     not of the game's state length, and Infeasible (annotated with the
     state) when U_T(x) is empty. workspace is the solvers.DrWorkspace of
     compiled, built here when omitted. A final projection that misses its
@@ -102,7 +103,7 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None):
     cfg = cfg or solvers.SolverConfig()
     t0 = time.perf_counter()
     if in_terminal_set(compiled, x):
-        u = unconstrained_ne_sequence(compiled, x)
+        u = compiled.F @ x
         r = float(np.linalg.norm(compiled.E @ x))
         if r <= cfg.tol:
             return compiled.first_stage(u), solvers.SolverReport(
@@ -112,9 +113,6 @@ def rhc_step(compiled, x, warm, cfg=None, workspace=None):
     problem = compiled.avi_at(x)
     if workspace is None:
         workspace = solvers.DrWorkspace(compiled.splitting, compiled.D)
-    if warm is None:
-        warm = np.zeros(problem.dim)
-    warm = np.asarray(warm, dtype=float).ravel()
     report = solvers.dr_solve(problem, cfg=cfg, warm=warm, workspace=workspace)
     applied = report.solution
     if not problem.C.contains(applied):

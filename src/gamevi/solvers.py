@@ -347,7 +347,8 @@ def exgd_solve(p, cfg=None, warm=None):
     """Extragradient method; step in (0, 1/L), default 0.9 / L."""
     run = _Run(p, cfg, "exgd")
     _, L = run.constants()
-    lam = run.step(0.9 / L, 1.0 / L)
+    # a constant operator (L = 0) has no default step, only cfg.step
+    lam = run.step(0.9 / L, 1.0 / L) if L else run.step(np.inf)
 
     def iterates(u):
         while True:
@@ -391,7 +392,7 @@ def prgd_solve(p, cfg=None, warm=None):
     """
     run = _Run(p, cfg, "prgd")
     _, L = run.constants()
-    bound = (np.sqrt(2.0) - 1.0) / L
+    bound = (np.sqrt(2.0) - 1.0) / L if L else np.inf
     lam = run.step(0.9 * bound, bound)
 
     def iterates(u):

@@ -175,6 +175,20 @@ def test_solve_shape_mismatch_error_json(tmp_path):
     assert "M has 3 entries" in error["message"]
 
 
+@pytest.mark.parametrize("algo", ["exgd", "prgd"])
+def test_solve_constant_operator_error_json(tmp_path, algo):
+    # M = 0, so L = 0 leaves no default step
+    prob = tmp_path / "zero.json"
+    prob.write_text(json.dumps({
+        "n": 1, "m": 2, "M": [0.0], "q": [1.0],
+        "D": [1.0, -1.0], "d": [-1.0, -1.0]}))
+    out = tmp_path / "err.json"
+    rc = cli.main(["solve", "--problem", str(prob), "--algo", algo,
+                   "--out", str(out)])
+    assert rc == 1
+    assert json.loads(out.read_text())["error"]["type"] == "InvalidConfig"
+
+
 def test_bench_size_arguments_are_usage_errors(tmp_path, capsys):
     for flag, value in (("--n", "0"), ("--m", "-1"), ("--instances", "-1"),
                         ("--instances", "0")):
@@ -353,6 +367,17 @@ def test_validate_game_compile_failure(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert not payload["ok"]
     assert payload["error"]["type"] == "NoConvergence"
+
+
+def test_validate_game_singular_input_weight_error_json(tmp_path, capsys):
+    path = tmp_path / "singular_r.json"
+    path.write_text(json.dumps({
+        "A": [[0.5]], "B": [[[1.0]]], "Q": [[[1.0]]], "R": [[[0.0]]], "T": 2}))
+    rc = cli.main(["validate", "--game", str(path)])
+    assert rc == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "NoConvergence"
+    assert "R[0] is singular" in error["message"]
 
 
 def test_validate_non_finite_game_error_json(tmp_path, capsys):

@@ -9,7 +9,7 @@ from gamevi import game as G, scenario
 from gamevi.avi import (AviProblem, Polyhedron, monotonicity_constants,
                         natural_residual)
 from gamevi.errors import (DimensionMismatch, InvalidSplitting, NoConvergence,
-                           NonFiniteData, SingularA, SpecError)
+                           NonFiniteData, SpecError)
 from gamevi.solvers import SolverConfig, dr_solve, make_dr_splitting
 
 from oracles import (feedback_rollout, finite_diff_gradient, simulate_states,
@@ -210,6 +210,16 @@ def test_coupled_riccati_unstabilizable_diverges():
     g = G.LqGame([[2.0]], [[[0.0]]], [[[1.0]]], [[[1.0]]], T=2)
     with pytest.raises(NoConvergence):
         G.solve_coupled_riccati(g, max_iter=200)
+
+
+def test_singular_input_weight_raises():
+    # agent 1's R = 0: no solve of R_i^{-1} B_i' exists
+    one = [[1.0]]
+    g = G.LqGame([[0.5]], [one, one], [one, one], [one, [[0.0]]], T=2)
+    with pytest.raises(NoConvergence, match=r"R\[1\] is singular"):
+        G.solve_coupled_riccati(g)
+    with pytest.raises(NoConvergence, match="R is singular"):
+        G.solve_are([[0.5]], [[1.0]], [[1.0]], [[0.0]])
 
 
 def test_coupled_riccati_unequal_input_widths():
@@ -834,45 +844,6 @@ def test_in_terminal_set_repeated_and_opposite_rows():
     want = [oracle([x]) for x in xs]
     assert [G.in_terminal_set(c, [x]) for x in xs] == want
     assert want[0] is False and True in want and want[-1] is False
-
-
-def test_check_care_solvability_scalar_hand_values():
-    diag = G.check_care_solvability(scalar_game())
-    H = np.array([[2.0, -1.0], [-1.0, 1.0]])
-    expected = np.linalg.eigvals(H)
-    assert sorted(np.abs(diag.eigenvalues)) == pytest.approx(
-        sorted(np.abs(expected)), abs=1e-12)
-    assert diag.stable_count == 1
-    assert diag.complementary
-    assert diag.holds
-
-
-def test_check_standing_assumptions_diagnostics():
-    g_ok = scalar_game()
-    diag = G.check_standing_assumptions(g_ok)
-    assert diag.holds
-    # unstable mode with no control authority: stabilizability fails
-    g_bad = G.LqGame([[2.0]], [[[0.0]]], [[[1.0]]], [[[1.0]]], T=2)
-    diag = G.check_standing_assumptions(g_bad)
-    assert not diag.stabilizable[0]
-    assert not diag.holds
-    # indefinite R flagged
-    g_r = G.LqGame([[0.5]], [[[1.0]]], [[[1.0]]], [[[-1.0]]], T=2)
-    assert not G.check_standing_assumptions(g_r).r_pd[0]
-
-
-def test_check_care_solvability_singular_a():
-    g = G.LqGame([[0.0]], [[[1.0]]], [[[1.0]]], [[[1.0]]], T=2)
-    with pytest.raises(SingularA):
-        G.check_care_solvability(g)
-
-
-def test_check_care_solvability_fails_where_riccati_diverges():
-    g = G.LqGame([[2.0]], [[[0.0]]], [[[1.0]]], [[[1.0]]], T=2)
-    diag = G.check_care_solvability(g)
-    assert not diag.holds
-    with pytest.raises(NoConvergence):
-        G.solve_coupled_riccati(g, max_iter=200)
 
 
 # ------------------------------------------------------------ best response

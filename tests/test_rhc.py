@@ -6,7 +6,8 @@ import pytest
 
 from gamevi import game as G
 from gamevi import qp, rhc, scenario, solvers
-from gamevi.errors import DimensionMismatch, Infeasible, NonFiniteData, SpecError
+from gamevi.errors import (DimensionMismatch, Infeasible, InvalidConfig,
+                           NonFiniteData, SpecError)
 from gamevi.avi import natural_residual
 from gamevi.solvers import INNER_INEXACT, DrWorkspace, SolverConfig, dr_solve
 
@@ -142,6 +143,20 @@ def test_wrong_length_state_raises(crossroad4, shortcut, monkeypatch):
             rhc.simulate(c, x, 2, cfg())
         with pytest.raises(DimensionMismatch):
             rhc.shift_warm_start(np.zeros(g.input_dim), c, x)
+
+
+def test_rhc_step_warm_start_checked_by_dr_solve(small_game2, monkeypatch):
+    # None starts DR from zeros; a wrong length or a NaN is rejected
+    g, c = small_game2
+    monkeypatch.setattr(rhc, "in_terminal_set", lambda c, x: False)
+    x = 0.05 * np.random.default_rng(1).normal(size=g.n)
+    _, rep_none = rhc.rhc_step(c, x, None, cfg())
+    _, rep_zero = rhc.rhc_step(c, x, np.zeros(g.input_dim), cfg())
+    assert np.array_equal(rep_none.solution, rep_zero.solution)
+    with pytest.raises(InvalidConfig):
+        rhc.rhc_step(c, x, np.zeros(g.input_dim + 1), cfg())
+    with pytest.raises(NonFiniteData):
+        rhc.rhc_step(c, x, np.full(g.input_dim, np.nan), cfg())
 
 
 def degrade_projections(monkeypatch, workspace, only_tol=None):
@@ -390,21 +405,21 @@ def test_crossroad_terminal_ball_takes_the_tail(crossroad15, crossroad15_run):
     assert all(accepted for (_, accepted), inside in zip(calls, in_ball) if inside)
 
 
-def crossroad_dr_steps(compiled, x0, tol):
-    """Every dr_solve of the 300-step loop from x0 at tol, as (problem,
-    answer, the last step-(a) duals read from the workspace)."""
-    steps = []
+def crossroad_dr_steps(compiled, x0, tol, steps=300):
+    """Every dr_solve of the loop of the given length from x0 at tol, as
+    (problem, answer, the last step-(a) duals read from the workspace)."""
+    solves = []
     solve = solvers.dr_solve
 
     def recording(p, cfg=None, warm=None, workspace=None):
         report = solve(p, cfg=cfg, warm=warm, workspace=workspace)
-        steps.append((p, report.solution, workspace.duals["a"].copy()))
+        solves.append((p, report.solution, workspace.duals["a"].copy()))
         return report
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "dr_solve", recording)
-        rhc.simulate(compiled, x0, 300, cfg(tol=tol, max_iter=5000))
-    return steps
+        rhc.simulate(compiled, x0, steps, cfg(tol=tol, max_iter=5000))
+    return solves
 
 
 def certified_gaps(steps, bound):
@@ -417,17 +432,11 @@ def certified_gaps(steps, bound):
     return gaps
 
 
-def test_crossroad_dr_steps_near_certified_solution(crossroad15):
-    """Each DR step of the default loop lies within (1 + L)/mu tol of the
-    exact VI solution, the error bound of a strongly monotone AVI whose
-    natural residual is tol; kkt_certify certifies that solution from the
-    support of the last step-(a) duals. An answer moved by 1.1 times the
-    bound fails the check."""
-    spec, _, c = crossroad15
-    tol = 1e-3
-    steps = crossroad_dr_steps(c, scenario.default_initial_state(spec), tol)
-    assert len(steps) == 54
-    M = c.M_ol
+def assert_near_certified(M, steps, tol):
+    """Each DR step lies within (1 + L)/mu tol of the exact VI solution, the
+    error bound of a strongly monotone AVI whose natural residual is tol;
+    kkt_certify certifies that solution from the support of the last
+    step-(a) duals. An answer moved by 1.1 times the bound fails the check."""
     mu = np.linalg.eigvalsh((M + M.T) / 2.0)[0]
     bound = (1.0 + np.linalg.norm(M, 2)) / mu * tol
     gaps = certified_gaps(steps, bound)
@@ -437,6 +446,35 @@ def test_crossroad_dr_steps_near_certified_solution(crossroad15):
     moved = [(p, u + 1.1 * bound * d / np.linalg.norm(d), lam)
              for p, u, lam in steps]
     assert min(certified_gaps(moved, bound)) > 1.0
+
+
+def test_crossroad_dr_steps_near_certified_solution(crossroad15):
+    spec, _, c = crossroad15
+    tol = 1e-3
+    steps = crossroad_dr_steps(c, scenario.default_initial_state(spec), tol)
+    assert len(steps) == 54
+    assert_near_certified(c.M_ol, steps, tol)
+
+
+def test_nonsymmetric_crossroad_dr_steps_near_certified_solution(crossroad15):
+    """The same certificate where the splitting is not trivial: Q_i = I + E_i,
+    E_i the identity on vehicle i's own state block, makes each P_i and so M
+    nonsymmetric. The first 120 steps hold 100 DR solves."""
+    spec, g, _ = crossroad15
+    dims, off = scenario._state_layout(spec)
+    Q = []
+    for i in range(g.N):
+        own = np.zeros(g.n)
+        own[off[i]:off[i] + dims[i]] = 1.0
+        Q.append(np.eye(g.n) + np.diag(own))
+    c = G.compile_vi(G.LqGame.from_stage_constraints(**{**g.source, "Q": Q}))
+    M = c.M_ol
+    assert np.linalg.norm((M - M.T) / 2.0, 2) > 1.0
+    tol = 1e-3
+    steps = crossroad_dr_steps(c, scenario.default_initial_state(spec), tol,
+                               steps=120)
+    assert len(steps) == 100
+    assert_near_certified(M, steps, tol)
 
 
 def test_crossroad_terminal_set_matches_rollout_oracle(crossroad15, crossroad15_run):

@@ -349,12 +349,28 @@ def test_prgd_rejects_out_of_range_step():
         prgd_solve(scalar_problem(), SolverConfig(step=0.5))  # bound ~0.414
 
 
+def constant_operator_problem():
+    """F(u) = (1, 0.5) over the box [-1, 1]^2: M = 0, so L = 0."""
+    return AviProblem(np.zeros((2, 2)), np.array([1.0, 0.5]),
+                      Polyhedron(np.vstack([np.eye(2), -np.eye(2)]),
+                                 -np.ones(4)))
+
+
 def test_agraal_guard_selects_growth_branch():
     # constant operator: F(u) - F(v) = 0, so the adaptive ratio degenerates
-    p = AviProblem(np.zeros((2, 2)), np.array([1.0, 0.5]),
-                   Polyhedron(np.vstack([np.eye(2), -np.eye(2)]),
-                              -np.ones(4)))
+    p = constant_operator_problem()
     rep = agraal_solve(p, SolverConfig(tol=1e-8, max_iter=200, step=0.5))
+    assert rep.converged
+    assert np.allclose(rep.solution, [-1.0, -1.0], atol=1e-6)
+
+
+@pytest.mark.parametrize("solver", [exgd_solve, prgd_solve])
+def test_constant_operator_needs_explicit_step(solver):
+    # L = 0 leaves no default step (as for aGRAAL); cfg.step runs
+    p = constant_operator_problem()
+    with pytest.raises(InvalidConfig, match="got inf"):
+        solver(p)
+    rep = solver(p, SolverConfig(tol=1e-8, max_iter=200, step=0.5))
     assert rep.converged
     assert np.allclose(rep.solution, [-1.0, -1.0], atol=1e-6)
 
