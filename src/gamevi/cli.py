@@ -9,10 +9,11 @@ Subcommands:
   validate   diagnostics for an AVI problem file or a game file
 
 Exit codes: 0 success, 1 runtime failure (machine-readable error JSON is
-still written; this includes a run whose inner QP solves missed their KKT
-tolerance, status ``inner_inexact``), 2 usage error. All outputs are
-deterministic functions of the flags and seed, except wall-clock
-columns/fields.
+still written; this includes a run that stopped at --max-iter, status
+``iter_limit``, and one whose inner QP solves missed their KKT tolerance,
+status ``inner_inexact``; ``crossroad`` names such steps in error.json),
+2 usage error. All outputs are deterministic functions of the flags and
+seed, except wall-clock columns/fields.
 """
 
 import argparse
@@ -29,7 +30,11 @@ from .errors import GameViError, Infeasible, InvalidConfig
 
 __all__ = ["main"]
 
-_INEXACT_MESSAGE = "an inner QP solve missed its KKT tolerance"
+# why a run that is not converged failed, by its status
+_FAILURE_MESSAGES = {
+    solvers.ITER_LIMIT: "iteration limit reached",
+    solvers.INNER_INEXACT: "an inner QP solve missed its KKT tolerance",
+}
 
 
 def _error_payload(exc, **extra):
@@ -154,9 +159,8 @@ def cmd_solve(args):
         "qp_not_optimal": report.qp_not_optimal,
     }
     if not report.converged:
-        message = ("iteration limit reached" if report.status == solvers.ITER_LIMIT
-                   else _INEXACT_MESSAGE)
-        _write_json(_error_payload(GameViError(message), **payload), args.out)
+        _write_json(_error_payload(GameViError(_FAILURE_MESSAGES[report.status]),
+                                   **payload), args.out)
         return 1
     _write_json(payload, args.out)
     return 0
@@ -195,11 +199,13 @@ def cmd_crossroad(args):
                 dist = "" if np.isnan(distance[t, i]) else repr(float(distance[t, i]))
                 fh.write(f"{t},{i},{dist},{float(velocity[t, i])!r},"
                          f"{float(spec.d_des[i])!r},{float(spec.v_ref)!r}\n")
-    inexact = [t for t, s in enumerate(trace.statuses) if s == solvers.INNER_INEXACT]
-    if inexact:
-        _write_json(_error_payload(GameViError(_INEXACT_MESSAGE), steps=inexact),
+    failed = [t for t, s in enumerate(trace.statuses) if s != solvers.CONVERGED]
+    if failed:
+        message = "; ".join(sorted({_FAILURE_MESSAGES[trace.statuses[t]]
+                                    for t in failed}))
+        _write_json(_error_payload(GameViError(message), steps=failed),
                     os.path.join(args.out_dir, "error.json"))
-        print(f"{_INEXACT_MESSAGE} at {len(inexact)} step(s)", file=sys.stderr)
+        print(f"{message} at {len(failed)} step(s)", file=sys.stderr)
         return 1
     return 0
 

@@ -529,7 +529,7 @@ class CompiledGameVi:
       M_ol       the VI matrix (nonsymmetric in general)
       qmap       q of x0 is qmap @ x0
       D, d0, Dmap   constraints: D u + (d0 + Dmap x0) <= 0
-      splitting  DR splitting of M_ol
+      splitting  DR splitting of M_ol and its metric scale gamma
       riccati, augmented   the Riccati products backing M_ol and the
                  best-response terminal cost
 
@@ -645,7 +645,7 @@ class CompiledGameVi:
 
 
 def compile_vi(game):
-    """Compile a game into its affine VI together with the DR splitting.
+    """Compile a game into its affine VI and its DR splitting and metric.
 
     The coupled AREs are solved by the stacked fixed-point sweep; each
     agent's augmented ARE, backing the best-response terminal cost, is

@@ -1,18 +1,19 @@
 """First-order solvers for strongly monotone affine VIs.
 
 The headline method is the paper's Douglas-Rachford splitting-like iteration
-with the metric H = I, the relaxation 1/2 and the canonical splitting
-M1 = (M + M')/4, M2 = M - M1 of make_dr_splitting:
+with the relaxation 1/2, the canonical splitting M1 = (M + M')/4,
+M2 = M - M1 and the metric H = gamma I of make_dr_splitting:
 
-    y_k     = sol(C, I + M1, q + (M2 - I) u_k)          (a symmetric AVI == QP)
-    u_{k+1} = (I + M2)^{-1} (y_k + M2 u_k)
+    y_k     = sol(C, gamma I + M1, q + (M2 - gamma I) u_k)   (a symmetric AVI == QP)
+    u_{k+1} = (gamma I + M2)^{-1} (gamma y_k + M2 u_k)
 
 M1 is symmetric positive semidefinite and M2 positive definite (not
 necessarily symmetric) whenever the symmetric part of M is positive
-definite, and the iteration then converges linearly. This is the one
-configuration every caller runs, so DR has no option of its own. The
-remaining algorithms (PGD, EXGD, NAGD, PRGD, aGRAAL) are projection-based
-baselines.
+definite, and the iteration then converges linearly for every gamma > 0.
+gamma is derived from M by one rule (make_dr_splitting), so the iterates
+do not depend on the units of (M, q). This is the one configuration every
+caller runs, so DR has no option of its own. The remaining algorithms
+(PGD, EXGD, NAGD, PRGD, aGRAAL) are projection-based baselines.
 
 Every solver is a generator of iterates driven by one loop, _Run.drive,
 which pulls at most cfg.max_iter iterates, records for each the exact
@@ -56,13 +57,20 @@ INNER_INEXACT = "inner_inexact"
 
 @dataclasses.dataclass
 class Splitting:
-    """Matrices of the splitting M = M1 + M2."""
+    """Matrices of the splitting M = M1 + M2, and the scale gamma of the
+    metric H = gamma I that DR runs in."""
     M1: np.ndarray
     M2: np.ndarray
+    gamma: float
+
+
+# relative asymmetry max|M - M'| / max|M| up to which M counts as symmetric
+_SYMMETRY_TOL = 1e-12
 
 
 def make_dr_splitting(M):
-    """Canonical splitting M1 = (M + M')/4, M2 = M - M1, the one dr_solve uses.
+    """Canonical splitting M1 = (M + M')/4, M2 = M - M1 and metric scale
+    gamma, the ones dr_solve uses.
 
     Valid whenever the symmetric part of M is positive definite: M1 is then
     symmetric PSD, and M2 = M1 + (M - M')/2 has symmetric part M1, hence a
@@ -70,10 +78,25 @@ def make_dr_splitting(M):
     is one Cholesky factorization of M + M' (twice the symmetric part, an
     exact scaling); when it fails, InvalidSplitting is raised carrying mu,
     the smallest eigenvalue of the symmetric part, which only then is
-    computed.
+    computed. A non-finite M + M' (also from a finite M whose sum
+    overflows) raises NonFiniteData, and so does a gamma that over- or
+    underflows.
+
+    gamma follows from M by one rule. Without constraints, DR on a symmetric
+    M contracts each eigenvalue lambda by (s^2 + 1)/(1 + s)^2, s =
+    lambda/(2 gamma), so for a symmetric M (to _SYMMETRY_TOL) gamma =
+    sqrt(lambda_min lambda_max)/2 minimizes the spectral radius exactly;
+    otherwise gamma = ||M||_F/(2 sqrt(n)) puts the RMS eigenvalue modulus
+    at the per-mode optimum s = 1 (metric selection for DR: Giselsson &
+    Boyd, IEEE TAC 2017). Both are computed on M / max|M|, so no entry
+    overflows, and gamma scales with M: DR on (4^k M, 4^k q) runs the
+    iterates of (M, q) bit for bit.
     """
     M = np.asarray(M, dtype=float)
-    S = M + M.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = M + M.T
+    if not np.isfinite(S).all():
+        raise NonFiniteData("M + M' is not finite")
     if dpotrf(S, overwrite_a=False)[1]:
         mu = float(np.linalg.eigvalsh(S / 2.0)[0])
         raise InvalidSplitting(
@@ -83,15 +106,36 @@ def make_dr_splitting(M):
     if not np.array_equal(M1 + M2, M):
         # one correction pass restores bitwise M1 + M2 == M
         M1 = M - M2
-    return Splitting(M1, M2)
+    return Splitting(M1, M2, _metric_scale(M))
+
+
+def _metric_scale(M):
+    """gamma of make_dr_splitting's rule for a finite M with a positive
+    definite symmetric part; 1 for an empty M, whose DR has no iterate to
+    scale."""
+    if not M.size:
+        return 1.0
+    scale = float(np.abs(M).max())
+    Ms = M / scale
+    if np.abs(Ms - Ms.T).max() <= _SYMMETRY_TOL:
+        lo, hi = np.linalg.eigvalsh(Ms)[[0, -1]]
+        # an eigenvalue below round-off of lambda_max reads as round-off
+        rel = np.sqrt(max(lo, np.finfo(float).eps * hi) * hi) / 2.0
+    else:
+        rel = np.linalg.norm(Ms) / (2.0 * np.sqrt(M.shape[0]))
+    gamma = scale * float(rel)
+    if not 0.0 < gamma < np.inf:
+        raise NonFiniteData(
+            f"the DR metric of M is not representable (gamma = {gamma})")
+    return gamma
 
 
 @dataclasses.dataclass
 class SolverConfig:
     """Shared solver options.
 
-    DR always runs the canonical splitting of make_dr_splitting with the
-    relaxation 1/2. tol is the natural-residual threshold. step is the
+    DR always runs the canonical splitting and metric of make_dr_splitting
+    with the relaxation 1/2. tol is the natural-residual threshold. step is the
     baselines' algorithm-specific stepsize (lambda for PGD/EXGD/PRGD,
     lambda_0 for aGRAAL); None selects the documented default derived from
     (mu, L). qp_tol is the KKT tolerance of every inner QP solve (the DR
@@ -262,39 +306,42 @@ class DrWorkspace:
     (M, D).
 
     Built from the splitting of M (make_dr_splitting) and the constraint
-    matrix D: holds the splitting, the LU factors of I + M2, the QP engine
-    on I + M1 for the step-(a) solve, M2 - I, and the identity-metric engine
-    for residuals and projections, and the inverse row norms of D behind
-    the residual bound; q and the constraint offsets d may vary call to
-    call, which is what the receding-horizon loop exploits. duals
-    holds the last step-(a) multipliers (key "a") and residual multipliers
-    ("resid") of the latest dr_solve through the workspace; the next one
-    starts its inner solves from them, so consecutive receding-horizon steps
-    warm-start each other. They only pick the first active-set guess, and
-    each inner solve still meets its KKT tolerance.
+    matrix D: holds the splitting, the LU factors of gamma I + M2, the QP
+    engine on gamma I + M1 for the step-(a) solve, M2 - gamma I, and the
+    identity-metric engine for residuals and projections, and the inverse
+    row norms of D behind the residual bound; q and the constraint offsets
+    d may vary call to call, which is what the receding-horizon loop
+    exploits. duals holds the last step-(a) multipliers (key "a") and
+    residual multipliers ("resid") of the latest dr_solve through the
+    workspace; the next one starts its inner solves from them, so
+    consecutive receding-horizon steps warm-start each other. They only
+    pick the first active-set guess, and each inner solve still meets its
+    KKT tolerance.
     """
 
     def __init__(self, splitting, D):
         eye = np.eye(D.shape[1])
+        H = splitting.gamma * eye
         self.splitting = splitting
-        self.lu_IM2 = scipy.linalg.lu_factor(eye + splitting.M2)
-        self.step_engine = qp.QpEngine(eye + splitting.M1, D)
+        self.lu_HM2 = scipy.linalg.lu_factor(H + splitting.M2)
+        self.step_engine = qp.QpEngine(H + splitting.M1, D)
         self.resid_engine = qp.QpEngine(eye, D)
         self.inv_norms = _inverse_row_norms(D)
-        self.M2mI = splitting.M2 - eye
+        self.M2mH = splitting.M2 - H
         self.duals = {}
 
 
 def dr_solve(p, cfg=None, warm=None, workspace=None):
-    """Douglas-Rachford splitting iteration for AVI(C, M, q).
+    """Douglas-Rachford splitting iteration for AVI(C, M, q) in the metric
+    H = gamma I of the splitting.
 
     Step (a) solves the symmetric AVI as the QP
-    min 0.5 y'(I+M1)y + (q + (M2 - I) u_k)' y over C; step (b) is the affine
-    update u_{k+1} = (I + M2)^{-1} (y_k + M2 u_k) through the pre-factored
-    I + M2. Stops when the natural residual drops to cfg.tol; the iteration
-    count equals the number of step-(a) solves performed. The residual QP
-    runs only on iterates whose row-violation bound is within cfg.tol (and
-    on the last), so the iterates never depend on it.
+    min 0.5 y'(H + M1)y + (q + (M2 - H) u_k)' y over C; step (b) is the
+    affine update u_{k+1} = (H + M2)^{-1} (gamma y_k + M2 u_k) through the
+    pre-factored H + M2. Stops when the natural residual drops to cfg.tol;
+    the iteration count equals the number of step-(a) solves performed. The
+    residual QP runs only on iterates whose row-violation bound is within
+    cfg.tol (and on the last), so the iterates never depend on it.
 
     Parameters
     ----------
@@ -315,14 +362,14 @@ def dr_solve(p, cfg=None, warm=None, workspace=None):
     run = _Run(p, cfg, "dr", engine=workspace.resid_engine,
                inv_norms=workspace.inv_norms)
     run.duals = workspace.duals  # carried to the next solve
-    M2 = workspace.splitting.M2
+    gamma, M2 = workspace.splitting.gamma, workspace.splitting.M2
 
     def iterates(u):
         while True:
-            sol = run.inner(workspace.step_engine, p.q + workspace.M2mI @ u,
+            sol = run.inner(workspace.step_engine, p.q + workspace.M2mH @ u,
                             run.duals.get("a"))
             run.duals["a"] = sol.lam
-            u = scipy.linalg.lu_solve(workspace.lu_IM2, sol.y + M2 @ u,
+            u = scipy.linalg.lu_solve(workspace.lu_HM2, gamma * sol.y + M2 @ u,
                                       check_finite=False)
             yield u
 
@@ -333,7 +380,9 @@ def pgd_solve(p, cfg=None, warm=None):
     """Projected gradient descent; needs mu > 0 and step in (0, 2 mu / L^2)."""
     run = _Run(p, cfg, "pgd")
     mu, L = run.constants(strongly_monotone=True)
-    lam = run.step(mu / L ** 2, 2.0 * mu / L ** 2)
+    # mu / L / L: L ** 2 overflows or underflows where the quotient does
+    # not; an L = 0 or an unrepresentable quotient leaves only cfg.step
+    lam = run.step(mu / L / L, 2.0 * mu / L / L) if L else run.step(np.inf)
 
     def iterates(u):
         while True:

@@ -87,27 +87,27 @@ def project_enumerate(D, d, v):
     return kkt_enumerate(np.eye(v.size), -v, D, d)
 
 
-def dr_exact_residuals(M, q, D, d, tol, max_iter):
-    """The Douglas-Rachford iteration from u_0 = 0 with the exact natural
-    residual at every iterate; returns the residuals up to and including
-    the first within tol (or max_iter of them).
+def dr_exact_residuals(M, q, D, d, tol, max_iter, gamma):
+    """The Douglas-Rachford iteration in the metric H = gamma I from u_0 = 0
+    with the exact natural residual at every iterate; returns the residuals
+    up to and including the first within tol (or max_iter of them).
 
     The splitting M1 = (M + M')/4, M2 = M - M1 is formed here; step (a)
-    solves the symmetric AVI on I + M1 by kkt_enumerate, step (b) solves
-    (I + M2) u_{k+1} = y_k + M2 u_k with np.linalg.solve, and the residual
-    projects with project_enumerate. Brute force like kkt_enumerate: fits
-    n <= 6, m <= 7 style problems.
+    solves the symmetric AVI on H + M1 by kkt_enumerate, step (b) solves
+    (H + M2) u_{k+1} = H y_k + M2 u_k with np.linalg.solve, and the
+    residual projects with project_enumerate. Brute force like
+    kkt_enumerate: fits n <= 6, m <= 7 style problems.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float).ravel()
-    eye = np.eye(M.shape[0])
+    H = gamma * np.eye(M.shape[0])
     M1 = (M + M.T) / 4.0
     M2 = M - M1
     u = np.zeros(M.shape[0])
     residuals = []
     while len(residuals) < max_iter:
-        y = kkt_enumerate(eye + M1, q + (M2 - eye) @ u, D, d)
-        u = np.linalg.solve(eye + M2, y + M2 @ u)
+        y = kkt_enumerate(H + M1, q + (M2 - H) @ u, D, d)
+        u = np.linalg.solve(H + M2, H @ y + M2 @ u)
         residuals.append(float(np.linalg.norm(
             u - project_enumerate(D, d, u - (M @ u + q)))))
         if residuals[-1] <= tol:

@@ -255,6 +255,20 @@ def test_crossroad_inner_inexact_exits_1(tmp_path, monkeypatch):
     assert error["steps"] == flagged
 
 
+def test_crossroad_iteration_limit_exits_1(tmp_path):
+    # steps stopped at --max-iter fail the run as `solve` does, and
+    # error.json names them
+    out = tmp_path / "cross"
+    rc = cli.main(["crossroad", "--max-iter", "2", "--steps", "20",
+                   "--out-dir", str(out)])
+    assert rc == 1
+    trace = rhc.read_trace_json(out / "trace.json")
+    assert set(trace.statuses) == {"iter_limit"}
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["steps"] == list(range(20))
+    assert error["message"] == "iteration limit reached"
+
+
 def test_bench_inner_inexact_exits_1(tmp_path, monkeypatch):
     inexact_inner_solves(monkeypatch)
     rc = cli.main(["bench", "--instances", "1", "--n", "12", "--m", "6",

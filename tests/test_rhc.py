@@ -347,19 +347,18 @@ def test_simulate_flags_iteration_limited_steps(small_game2):
 
 def test_crossroad_iteration_count_pinned():
     # the first 60 steps of the 15-vehicle crossroad hold most of its DR
-    # iterations (737 of 977 over 300 steps)
+    # iterations (571 of 811 over 300 steps)
     spec = scenario.default_15_vehicle_spec()
     compiled = G.compile_vi(scenario.build_crossroad(spec, horizon=10))
     trace = rhc.simulate(compiled, scenario.default_initial_state(spec), 60,
                          cfg(tol=1e-3, max_iter=5000))
-    assert sum(trace.solver_iterations) == 737
+    assert sum(trace.solver_iterations) == 571
 
 
 def test_crossroad_fallback_calls_pinned(monkeypatch):
-    # the same 60 steps: 67 inner solves need dual active-set steps from
-    # their start set, not 129 as when every step started its inner solves
-    # without warm duals; the DrWorkspace carries them from one step to the
-    # next. Steps 54-59 take the terminal shortcut, which solves no QP, and
+    # the same 60 steps: 96 inner solves need dual active-set steps from
+    # their start set, which the DrWorkspace carries from one step to the
+    # next as warm duals. Steps 54-59 take the terminal shortcut, which solves no QP, and
     # a DR iteration solves its residual QP only where the row-violation
     # bound is within tol
     calls = count_qp_solves(monkeypatch)
@@ -367,8 +366,8 @@ def test_crossroad_fallback_calls_pinned(monkeypatch):
     compiled = G.compile_vi(scenario.build_crossroad(spec, horizon=10))
     trace = rhc.simulate(compiled, scenario.default_initial_state(spec), 60,
                          cfg(tol=1e-3, max_iter=5000))
-    assert sum(trace.solver_iterations) == 737
-    assert len(calls) == 969 and sum(calls) == 67
+    assert sum(trace.solver_iterations) == 571
+    assert len(calls) == 794 and sum(calls) == 96
 
 
 def test_crossroad_residual_bound_below_fresh_residual(crossroad15,
@@ -385,11 +384,11 @@ def test_crossroad_residual_bound_below_fresh_residual(crossroad15,
 
 
 def test_crossroad_full_run_pinned(crossroad15_run):
-    # all 300 steps of the `gamevi crossroad` defaults: 977 DR iterations,
+    # all 300 steps of the `gamevi crossroad` defaults: 811 DR iterations,
     # and the terminal set holds exactly the states from step 54 on, so 246
     # steps take the terminal shortcut
     trace, calls = crossroad15_run
-    assert sum(trace.solver_iterations) == 977
+    assert sum(trace.solver_iterations) == 811
     assert [accepted for _, accepted in calls] == [False] * 54 + [True] * 246
     assert all(trace.solver_iterations[t] == 1 for t in range(54, 300))
     assert all(np.array_equal(x, trace.states[t]) for t, (x, _) in enumerate(calls))

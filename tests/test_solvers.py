@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gamevi.avi import AviProblem, Polyhedron, monotonicity_constants, natural_residual
-from gamevi import qp, solvers
+from gamevi import qp, scenario, solvers
 from gamevi.errors import (InvalidConfig, InvalidSplitting, NonFiniteData,
                            NotStronglyMonotone)
 from gamevi.scenario import random_avi
@@ -80,18 +80,95 @@ def test_splitting_identities():
         assert np.max(np.abs(skew + skew.T)) <= 1e-12
 
 
+def test_dr_metric_finite_where_frobenius_norm_overflows():
+    # entries above ~1e154 overflow a plain ||M||_F; gamma is computed on
+    # M / max|M| and scales with M
+    unit = np.array([[2.0, 1.0], [0.0, 2.0]])
+    s = make_dr_splitting(1e200 * unit)
+    assert s.gamma == pytest.approx(1e200 * 3.0 / (2.0 * np.sqrt(2.0)), rel=1e-15)
+    assert s.gamma == pytest.approx(1e200 * make_dr_splitting(unit).gamma, rel=1e-15)
+
+
+def skew_heavy(n, diag, skew):
+    K = np.triu(np.ones((n, n)), 1)
+    return diag * np.eye(n) + skew * (K - K.T)
+
+
+@pytest.mark.parametrize("M, match", [
+    (1e308 * np.eye(2), "M \\+ M' is not finite"),
+    (skew_heavy(10, 0.5e308, 1.7e308), "not representable"),
+    (skew_heavy(2, 5e-324, 0.0), "not representable"),
+], ids=["sum_overflow", "gamma_overflow", "gamma_underflow"])
+def test_make_dr_splitting_rejects_unrepresentable_data(M, match):
+    # a finite M whose M + M' overflows comes back as no splitting with
+    # +-inf entries; past the Cholesky test, gamma = ||M||_F/(2 sqrt(n)) can
+    # still overflow, and gamma = lambda/2 of the smallest subnormal rounds
+    # to 0
+    with pytest.raises(NonFiniteData, match=match):
+        make_dr_splitting(M)
+
+
+def test_dr_metric_positive_where_lambda_min_reads_nonpositive():
+    # a symmetric M with eigenvalues (1e-16, 1, 2): M + M' passes the
+    # Cholesky test, but eigvalsh reads lambda_min <= 0, which is round-off
+    # of lambda_max, so the rule takes eps lambda_max in its place
+    rng = np.random.default_rng(1)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    M = Q @ np.diag([1e-16, 1.0, 2.0]) @ Q.T
+    M = (M + M.T) / 2.0
+    scale = np.abs(M).max()
+    lo, hi = np.linalg.eigvalsh(M / scale)[[0, -1]]
+    assert lo <= 0.0
+    gamma = make_dr_splitting(M).gamma
+    assert gamma == pytest.approx(scale * np.sqrt(np.finfo(float).eps) * hi / 2.0,
+                                  rel=1e-12)
+
+
+def test_dr_metric_rule_pinned(crossroad15):
+    """gamma against values computed here: sqrt(lambda_min lambda_max)/2 for
+    a symmetric M, ||M||_F / (2 sqrt(n)) otherwise."""
+    assert make_dr_splitting([[1.0]]).gamma == 0.5
+    M = crossroad15[2].M_ol
+    lam = np.linalg.eigvalsh(M)
+    gamma = make_dr_splitting(M).gamma
+    assert gamma == pytest.approx(np.sqrt(lam[0] * lam[-1]) / 2.0, rel=1e-12)
+    assert round(gamma, 3) == 1.406
+    for i in range(3):
+        M = random_avi(100, 20, seed=(0, i)).M
+        assert make_dr_splitting(M).gamma == pytest.approx(
+            np.linalg.norm(M) / 20.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("which", ["random", "crossroad4"])
+def test_dr_iterates_invariant_to_problem_scale(which, crossroad4):
+    """DR on (4^k M, 4^k q) runs the iterates of (M, q): the metric scales
+    with M, so the units of the data do not move the path."""
+    if which == "random":
+        p = random_avi(30, 10, seed=(0, 4))
+    else:
+        spec, _, c = crossroad4
+        p = c.avi_at(scenario.default_initial_state(spec))
+    cfg = SolverConfig(tol=1e-16, max_iter=30)
+    base = dr_solve(p, cfg).solution
+    for k in (-1, 1, 2):
+        f = 4.0 ** k
+        u = dr_solve(AviProblem(f * p.M, f * p.q, p.C), cfg).solution
+        assert np.max(np.abs(u - base)) <= 1e-12 * np.max(np.abs(base))
+
+
 # ----------------------------------------------------------------------- DR
 
 def test_dr_hand_rolled_first_iterations():
-    """Scalar instance: M1 = M2 = 0.5, H = 1, lambda = 0.5, u0 = 0."""
+    """Scalar instance: M1 = M2 = 0.5, H = gamma = 1/2, lambda = 0.5, u0 = 0."""
     p = scalar_problem()
+    assert make_dr_splitting(p.M).gamma == 0.5
     rep1 = dr_solve(p, cfg=SolverConfig(tol=1e-16, max_iter=1))
-    assert rep1.solution[0] == pytest.approx(4.0 / 9.0, abs=1e-12)
+    assert rep1.solution[0] == pytest.approx(0.5, abs=1e-12)
     # independent scalar recursion of the same update rule
-    u = 0.0
+    u, H = 0.0, 0.5
     for _ in range(7):
-        y = (-(-1.0 + (0.5 - 1.0) * u)) / 1.5        # (H+M1) y = -(q + (M2-H)u)
-        u = (1.0 * y + 0.5 * u) / 1.5                # (H+M2) u+ = H y + M2 u
+        y = (-(-1.0 + (0.5 - H) * u)) / (H + 0.5)    # (H+M1) y = -(q + (M2-H)u)
+        u = (H * y + 0.5 * u) / (H + 0.5)            # (H+M2) u+ = H y + M2 u
     rep7 = dr_solve(p, cfg=SolverConfig(tol=1e-16, max_iter=7))
     assert rep7.solution[0] == pytest.approx(u, abs=1e-12)
 
@@ -143,7 +220,7 @@ def test_dr_iteration_counts_pinned():
     counts = [dr_solve(random_avi(100, 20, seed=(0, i)),
                        cfg=SolverConfig(tol=1e-3, max_iter=5000)).iterations
               for i in range(10)]
-    assert counts == [112, 104, 100, 113, 140, 104, 91, 114, 90, 114]
+    assert counts == [55, 54, 54, 53, 66, 47, 48, 57, 56, 60]
 
 
 def test_dr_linear_convergence_tail():
@@ -200,7 +277,8 @@ def test_dr_residuals_match_exact_oracle(seed):
     p = random_avi(6, 5, seed=(77, seed))
     tol = 1e-8
     rep = dr_solve(p, cfg=SolverConfig(tol=tol, max_iter=5000, qp_tol=1e-12))
-    exact = np.array(dr_exact_residuals(p.M, p.q, p.C.D, p.C.d, tol, 5000))
+    exact = np.array(dr_exact_residuals(p.M, p.q, p.C.D, p.C.d, tol, 5000,
+                                        make_dr_splitting(p.M).gamma))
     got = np.array(rep.residuals)
     mark = rep.lower_bound
     assert rep.converged and mark.shape == got.shape == exact.shape
@@ -222,7 +300,7 @@ def test_dr_skips_most_residual_solves(monkeypatch):
 
     monkeypatch.setattr(ws.resid_engine, "solve", counted)
     rep = dr_solve(p, cfg=SolverConfig(tol=1e-3, max_iter=5000), workspace=ws)
-    assert rep.converged and rep.iterations == 112
+    assert rep.converged and rep.iterations == 55
     assert len(calls) == rep.iterations - int(rep.lower_bound.sum())
     assert len(calls) < rep.iterations // 2
 
@@ -275,6 +353,24 @@ def test_pgd_rejects_out_of_range_step():
         pgd_solve(p, SolverConfig(step=2.0))
     with pytest.raises(InvalidConfig):
         pgd_solve(p, SolverConfig(step=-0.1))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_pgd_default_step_at_extreme_scale(scale):
+    # the default step mu / L^2 = 1/scale: L ** 2 overflowed (OverflowError)
+    # at 1e160 and underflowed to a zero division at 1e-170
+    p = AviProblem(scale * np.eye(2), -scale * np.ones(2),
+                   Polyhedron([[1.0, 0.0]], [-2.0]))
+    rep = pgd_solve(p, SolverConfig(tol=1e-8))
+    assert rep.converged
+    assert np.allclose(rep.solution, [1.0, 1.0], rtol=0.0, atol=1e-12)
+
+
+def test_pgd_unrepresentable_default_step_needs_explicit_step():
+    # mu = L = 1e-310: the default step 1/L overflows, so only cfg.step runs
+    p = AviProblem(1e-310 * np.eye(2), np.zeros(2), Polyhedron.unconstrained(2))
+    with pytest.raises(InvalidConfig, match="got inf"):
+        pgd_solve(p)
 
 
 def test_pgd_requires_strong_monotonicity():
@@ -575,6 +671,14 @@ def test_solvers_handle_unconstrained_instances():
         rep = solve(p, algo, SolverConfig(tol=1e-8, max_iter=4000))
         assert rep.converged
         assert np.max(np.abs(p.M @ rep.solution + p.q)) <= 1e-6
+
+
+def test_dr_solves_an_empty_problem():
+    # no variable and no row: the empty vector is the solution, and the
+    # metric rule, which has no eigenvalue to read, leaves it alone
+    p = AviProblem(np.zeros((0, 0)), np.zeros(0), Polyhedron.unconstrained(0))
+    rep = dr_solve(p)
+    assert rep.converged and rep.iterations == 1 and rep.solution.shape == (0,)
 
 
 def test_residual_csv_schema(tmp_path):
