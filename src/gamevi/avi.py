@@ -99,7 +99,8 @@ class MonotonicityConstants:
 def monotonicity_constants(M):
     """Strong-monotonicity modulus and Lipschitz constant of u -> Mu + q."""
     M = np.asarray(M, dtype=float)
-    lam_min = float(np.linalg.eigvalsh((M + M.T) / 2.0)[0])
+    # halves first: M + M' overflows for entries above ~9e307
+    lam_min = float(np.linalg.eigvalsh(M / 2.0 + M.T / 2.0)[0])
     L = float(np.linalg.norm(M, 2))
     return MonotonicityConstants(max(lam_min, 0.0), L, lam_min)
 

@@ -12,6 +12,9 @@ Theta, Gamma_i) to an affine VI whose operator matrix is
 where P_i comes from the coupled algebraic Riccati equations of the
 infinite-horizon unconstrained equilibrium. P_i is in general nonsymmetric,
 which is why M is nonsymmetric and the splitting machinery earns its keep.
+In a potential game (every Q_i the same symmetric Q) every P_i is the
+symmetric solution of one team DARE, which solve_coupled_riccati computes
+by doubling, and M is symmetric.
 
 Stacking convention: u = col_i(col_t(u_i[t])) -- agent-major, time inner.
 Stage constraints come in two families:
@@ -240,12 +243,18 @@ def solve_coupled_riccati(game, tol=1e-10, max_iter=10_000):
         K_i = -R_i^{-1} B_i' P_i (A + sum_j B_j K_j).
 
     Each sweep solves the K-equations jointly (they are linear in the
-    stacked K once P is fixed) and then updates every P_i; iteration starts
-    from P_i = Q_i, K_i = 0. The per-sweep P increment equals the equation
-    residual at the current iterate, so the stopping rule is the residual;
-    tol is measured relative to 1 + max|P| to stay meaningful when the
-    cost-to-go matrices are large. max_iter counts sweeps; a singular R_i
-    and a non-finite or exploding (> 1e14) increment raise NoConvergence.
+    stacked K once P is fixed) and then updates every P_i. Iteration starts
+    from P_i = Q_i, K_i = 0, except in a potential game: when every agent
+    has the same symmetric state weight Q, the common solution P_i = X of
+    the team DARE  X = Q + A' X (I + G X)^{-1} A,  G = sum_i B_i R_i^{-1} B_i'
+    (Monderer & Shapley 1996) solves the coupled AREs, so the sweep starts
+    from X, computed by solve_are's doubling, and its first pass certifies
+    it. The per-sweep P increment equals the equation residual at the
+    current iterate, so the stopping rule is the residual; tol is measured
+    relative to 1 + max|P| to stay meaningful when the cost-to-go matrices
+    are large. max_iter counts sweeps; a singular R_i, a doubling that
+    fails (as in solve_are) and a non-finite or exploding (> 1e14)
+    increment raise NoConvergence.
 
     A sweep is a handful of stacked products: with Bs = [B_1 .. B_N] and
     L = blkdiag(R_i^{-1} B_i') vstack(P_i), the K-system is
@@ -254,10 +263,15 @@ def solve_coupled_riccati(game, tol=1e-10, max_iter=10_000):
     """
     A, Q = game.A, np.stack(game.Q)
     n, N, offs = game.n, game.N, game.offsets
-    P = Q.copy()
     Bs = np.hstack(game.B)
     RinvBt = blkdg([_solve_r(game.R[i], game.B[i].T, f"R[{i}]") for i in range(N)])
     I_m = np.eye(offs[-1])
+    if all(np.array_equal(q, Q[0]) for q in Q) and np.array_equal(Q[0], Q[0].T):
+        # vstack(R_i^{-1} B_i'): summing the block columns adds only zeros
+        G = Bs @ RinvBt.reshape(offs[-1], N, n).sum(axis=1)
+        P = np.repeat(_doubling(A, (G + G.T) / 2.0, Q[0])[None], N, axis=0)
+    else:
+        P = Q.copy()
 
     def sweep_K(P):
         L = RinvBt @ P.reshape(N * n, n)
@@ -321,31 +335,41 @@ def build_augmented(game, riccati):
 
 def solve_are(A_hat, B_hat, Q_hat, R, tol=1e-12, max_iter=64):
     """Single DARE  P = Q + A' P (A + B K),  K = -(R + B' P B)^{-1} B' P A,
-    by the structure-preserving doubling algorithm (Chu, Fan & Lin 2005).
-
-    From A_0 = A, G_0 = B R^{-1} B', H_0 = Q each doubling sets
-    W = I + G H and
-
-        A <- A W^{-1} A,   G <- G + A W^{-1} G A',   H <- H + A' H W^{-1} A,
-
-    so H_k equals the value-iteration iterate after 2^k backward steps from
-    P = Q and converges quadratically to the stabilizing solution. G and H
-    are symmetrized every doubling; the loop stops when the H increment
-    falls below tol relative to 1 + max|H|. max_iter counts doublings, not
-    sweeps. NoConvergence is raised when R is singular, when an iterate
-    turns non-finite (an unstable mode the input cannot reach overflows
-    within about ten doublings) or when the cap is hit; there is no absolute
-    size limit, since a stabilizing solution may legitimately be very large.
+    by the structure-preserving doubling algorithm of _doubling with
+    G = B R^{-1} B'. NoConvergence is raised when R is singular and
+    wherever _doubling raises it.
     """
     A = np.asarray(A_hat, dtype=float)
     B = np.asarray(B_hat, dtype=float)
     Q = np.asarray(Q_hat, dtype=float)
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    n = A.shape[0]
     G = B @ _solve_r(R, B.T, "R")
-    G = (G + G.T) / 2.0
-    H, Ak = Q.copy(), A
+    H = _doubling(A, (G + G.T) / 2.0, Q, tol, max_iter)
+    K = -np.linalg.solve(R + B.T @ H @ B, B.T @ H @ A)
+    return H, K
+
+
+def _doubling(A, G, H, tol=1e-12, max_iter=64):
+    """Stabilizing solution X = H + A' X (I + G X)^{-1} A of a DARE with
+    symmetric G and H, by the structure-preserving doubling algorithm (Chu,
+    Fan & Lin 2005).
+
+    From A_0 = A, G_0 = G, H_0 = H each doubling sets W = I + G H and
+
+        A <- A W^{-1} A,   G <- G + A W^{-1} G A',   H <- H + A' H W^{-1} A,
+
+    so H_k equals the value-iteration iterate after 2^k backward steps from
+    X = H and converges quadratically to the stabilizing solution. G and H
+    are symmetrized every doubling; the loop stops when the H increment
+    falls below tol relative to 1 + max|H|. max_iter counts doublings, not
+    sweeps. NoConvergence is raised when an iterate turns non-finite (an
+    unstable mode the input cannot reach overflows within about ten
+    doublings) or when the cap is hit; there is no absolute size limit,
+    since a stabilizing solution may legitimately be very large.
+    """
+    n = A.shape[0]
     I_n = np.eye(n)
+    Ak = A
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             try:
@@ -364,12 +388,9 @@ def solve_are(A_hat, B_hat, Q_hat, R, tol=1e-12, max_iter=64):
             if not np.isfinite(delta):
                 raise NoConvergence(f"ARE doubling diverged at step {it}")
             if delta <= tol * scale:
-                break
-        else:
-            raise NoConvergence(
-                f"ARE doubling did not reach tol={tol:.1e} in {max_iter} doublings")
-    K = -np.linalg.solve(R + B.T @ H @ B, B.T @ H @ A)
-    return H, K
+                return H
+    raise NoConvergence(
+        f"ARE doubling did not reach tol={tol:.1e} in {max_iter} doublings")
 
 
 @dataclasses.dataclass

@@ -220,8 +220,9 @@ class QpEngine:
         step, the slack LP decides if the set is empty.
 
         Returns a QpSolution whose status is ``optimal`` (KKT residual <= tol)
-        or ``iter_limit`` (the steps stopped short of tol: at _DUAL_STEPS, or
-        on a numerically singular set); ``iterations`` is 1 when the start
+        or ``iter_limit`` (the steps stopped short of tol: at _DUAL_STEPS, on
+        a numerically singular set, or on a step length that is NaN because
+        the data overflow); ``iterations`` is 1 when the start
         set needed a dual step and 0 otherwise. Raises DimensionMismatch
         when c, b or warm_dual has the wrong length, NonFiniteData when c or
         b has a NaN or infinite entry, and Infeasible when the
@@ -278,6 +279,9 @@ class QpEngine:
             blocking = np.flatnonzero(r > 0.0)
             ratios = lam_a[blocking] / r[blocking]
             t = min(t_full, ratios.min(initial=np.inf))
+            if math.isnan(t):
+                # overflowed data: no step length, so the steps end here
+                break
             if t == np.inf:
                 report = certify_feasibility(self.D, -b)
                 if not report.feasible:

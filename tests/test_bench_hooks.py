@@ -56,6 +56,10 @@ def test_benchmark_trace_hooks_fire():
     # in_terminal_set stays inside the span that times it
     spans = collections.Counter(s[0] for s in tracer.spans if s[4] == 0)
     assert spans["rhc.in_terminal_set"] == spans["rhc.rhc_step"] == 13
+    # one augmented ARE per vehicle and one coupled solve, whose team start
+    # for the potential game does not go through the traced solve_are
+    assert spans["game.solve_are"] == 4
+    assert spans["game.solve_coupled_riccati"] == 1
     # one step-(b) solve per DR iteration; one step-(a) QP per iteration plus
     # one residual QP per exact residual entry
     spans = collections.Counter(s[0] for s in tracer.spans if s[4] == 1)

@@ -360,6 +360,18 @@ def test_validate_problem_flags_issues(tmp_path, capsys):
     assert not payload["strongly_monotone"]
 
 
+def test_validate_problem_huge_finite_matrix(tmp_path, capsys):
+    # M + M' overflows at M = 1e308 I; the modulus must not come out NaN
+    prob = tmp_path / "huge.json"
+    prob.write_text(json.dumps({
+        "n": 2, "m": 0, "M": [1e308, 0.0, 0.0, 1e308], "q": [1.0, -1.0],
+        "D": [], "d": []}))
+    rc = cli.main(["validate", "--problem", str(prob)])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mu"] == 1e308 and payload["strongly_monotone"]
+    assert rc == 0
+
+
 def test_validate_game_file(tmp_path, capsys, small_game2):
     from gamevi import game as G
     g, _ = small_game2

@@ -246,6 +246,64 @@ def test_coupled_riccati_unequal_input_widths():
         assert r.residuals[i] <= 1e-9
 
 
+@pytest.mark.parametrize("fixture", ["crossroad4", "crossroad15"])
+def test_potential_game_riccati_starts_at_the_team_dare(fixture, request):
+    # every Q_i = I: the team DARE solution passes the first sweep's check
+    r = request.getfixturevalue(fixture)[-1].riccati
+    assert r.iterations == 1
+    assert all(np.array_equal(p, r.P_ol[0]) for p in r.P_ol)
+    scale = 1.0 + max(np.max(np.abs(p)) for p in r.P_ol)
+    assert max(r.residuals) <= 1e-12 * scale
+    assert r.spectral_radius < 1.0
+
+
+def crossroad_with_state_weights(vehicles, weights):
+    """The default crossroad's first vehicles with Q_i = weights(spec, g, i)."""
+    spec = scenario.default_15_vehicle_spec().prefix(vehicles)
+    g = scenario.build_crossroad(spec, horizon=10)
+    Q = [weights(spec, g, i) for i in range(g.N)]
+    return G.LqGame.from_stage_constraints(**{**g.source, "Q": Q})
+
+
+def own_block_weight(spec, g, i):
+    # Q_i = I + E_i, E_i the identity on vehicle i's own state block
+    dims, off = scenario._state_layout(spec)
+    own = np.zeros(g.n)
+    own[off[i]:off[i] + dims[i]] = 1.0
+    return np.eye(g.n) + np.diag(own)
+
+
+def one_entry_weight(spec, g, i):
+    q = np.eye(g.n)
+    q[0, 0] += 1e-3 if i == 2 else 0.0
+    return q
+
+
+def asymmetric_common_weight(spec, g, i):
+    q = np.eye(g.n)
+    q[0, 1] = 1e-3
+    return q
+
+
+@pytest.mark.parametrize("vehicles, weights, sweeps", [
+    (15, own_block_weight, 484),
+    (4, one_entry_weight, 197),
+    (4, asymmetric_common_weight, 197),
+])
+def test_riccati_keeps_the_state_weight_start(vehicles, weights, sweeps):
+    # unequal or asymmetric Q_i: the sweep starts from P_i = Q_i
+    r = G.solve_coupled_riccati(crossroad_with_state_weights(vehicles, weights))
+    assert r.iterations == sweeps
+    assert max(r.residuals) <= 1e-8 and r.spectral_radius < 1.0
+
+
+def test_potential_game_singular_input_weight_names_it(crossroad4):
+    _, g, _ = crossroad4
+    g = G.LqGame(g.A, g.B, g.Q, [g.R[0], np.zeros_like(g.R[1]), *g.R[2:]], g.T)
+    with pytest.raises(NoConvergence, match=r"R\[1\] is singular"):
+        G.solve_coupled_riccati(g)
+
+
 # -------------------------------------------------------- augmented system
 
 def test_build_augmented_single_agent_layout():

@@ -344,6 +344,19 @@ def test_finite_data_with_overflowing_square_sum_accepted():
         engine.solve(np.array([-1e200, 1.0]), b=np.array([1e200, -np.inf]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_dual_step_ends_typed_or_not_optimal():
+    # finite data whose dual step overflows: the step length is NaN, which
+    # neither ends the steps as unbounded nor takes the full step
+    D = np.array([[0.0, 0.5], [1e300, 1.0], [0.0, 1e300], [-1e12, -1.0]])
+    d = np.array([-1e6, -1.0, -1e12, -1e6])
+    try:
+        sol = QpEngine(np.eye(2), D).solve(np.array([1e300, 0.0]), b=-d)
+    except GameViError:
+        return
+    assert not sol.optimal
+
+
 @pytest.mark.parametrize("position", [0, 1, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_kkt_certificate_rejects_non_finite_terms(position, bad):

@@ -253,8 +253,12 @@ def test_rhc_step_shortcut_falls_through_below_its_residual(fixture, request,
 
     monkeypatch.setattr(rhc.solvers, "dr_solve", counting)
     x = sample_terminal_states(c, 1, seed=19)[0]
-    assert np.linalg.norm(c.E @ x) > 1e-14
-    _, report = rhc.rhc_step(c, x, None, cfg(tol=1e-14, max_iter=2))
+    # on a potential game E x is round-off (1.9e-15 on crossroad4), so the
+    # tolerance goes below it
+    residual = np.linalg.norm(c.E @ x)
+    assert residual > 0
+    _, report = rhc.rhc_step(c, x, None, cfg(tol=min(1e-14, residual / 2),
+                                              max_iter=2))
     assert calls == [1]
     assert report.iterations == 2 and not report.converged
 

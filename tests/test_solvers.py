@@ -380,6 +380,20 @@ def test_pgd_requires_strong_monotonicity():
         pgd_solve(skew)
 
 
+def huge_strongly_monotone_problem():
+    # mu = L = 1e308: M + M' overflows although M is finite
+    return AviProblem(1e308 * np.eye(2), np.array([1.0, -1.0]),
+                      Polyhedron.unconstrained(2))
+
+
+@pytest.mark.parametrize("solve", [pgd_solve, nagd_solve])
+def test_strong_monotonicity_of_huge_finite_matrix(solve):
+    assert monotonicity_constants(huge_strongly_monotone_problem().M).mu == 1e308
+    rep = solve(huge_strongly_monotone_problem())
+    assert rep.converged
+    assert np.array_equal(rep.solution, [-1e-308, 1e-308])
+
+
 def test_exgd_hand_rollout():
     # lambda = 0.9: y0 = 0.9, u1 = -0.9 * (0.9 - 1) = 0.09
     p = scalar_problem()
