@@ -34,6 +34,7 @@ import math
 
 import numpy as np
 from numpy import kron
+from scipy.linalg.lapack import dgetrf, dgetri
 
 from . import qp
 from .avi import AviProblem, Polyhedron
@@ -362,28 +363,32 @@ def _doubling(A, G, H, tol=1e-12, max_iter=64):
     X = H and converges quadratically to the stabilizing solution. G and H
     are symmetrized every doubling; the loop stops when the H increment
     falls below tol relative to 1 + max|H|. max_iter counts doublings, not
-    sweeps. NoConvergence is raised when an iterate turns non-finite (an
-    unstable mode the input cannot reach overflows within about ten
-    doublings) or when the cap is hit; there is no absolute size limit,
-    since a stabilizing solution may legitimately be very large.
+    sweeps. Each doubling inverts W (LAPACK getrf, getri; at small n cheaper
+    than a gesv solve on [A, G]), whose eigenvalues are real and >= 1, as
+    those of G H, a product of two PSD matrices, are real and >= 0.
+    NoConvergence is raised, naming the step, when getrf finds W exactly
+    singular or an iterate turns non-finite (an unstable mode the input
+    cannot reach overflows within about ten doublings), and when the cap is
+    hit; there is no absolute size limit, since a stabilizing solution may
+    legitimately be very large.
     """
     n = A.shape[0]
     I_n = np.eye(n)
     Ak = A
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            try:
-                WA_WG = np.linalg.solve(I_n + G @ H, np.hstack([Ak, G]))
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergence(f"ARE doubling is singular at step {it}: {exc}")
-            WA, WG = WA_WG[:, :n], WA_WG[:, n:]
+            lu, piv, info = dgetrf(I_n + G @ H, overwrite_a=True)
+            if info > 0:
+                raise NoConvergence(f"ARE doubling is singular at step {it}")
+            W_inv, _ = dgetri(lu, piv, overwrite_lu=True)
+            WA, WG = W_inv @ Ak, W_inv @ G
             H_new = H + Ak.T @ H @ WA
             G = G + Ak @ WG @ Ak.T
             Ak = Ak @ WA
             H_new = (H_new + H_new.T) / 2.0
             G = (G + G.T) / 2.0
-            delta = float(np.max(np.abs(H_new - H)))
-            scale = 1.0 + float(np.max(np.abs(H_new)))
+            delta = float(np.abs(H_new - H).max())
+            scale = 1.0 + float(np.abs(H_new).max())
             H = H_new
             if not np.isfinite(delta):
                 raise NoConvergence(f"ARE doubling diverged at step {it}")
@@ -525,18 +530,29 @@ def _inner_radius(rows, lower, upper):
 def _closed_loop_powers(A_cl, count):
     """(powers, norms): the powers A_cl^0 .. A_cl^(count - 1), each the last
     times A_cl, and the spectral norms ||A_cl^k||_2 from k = 0 on, at least
-    count of them and on until one is <= 1/2. Later powers factor through
-    that one, so max(norms) is sup_k ||A_cl^k||_2."""
+    count (>= 1) of them and on until one is <= 1/2. Later powers factor
+    through that one, so max(norms) is sup_k ||A_cl^k||_2.
+
+    The norms come in batches of at most count powers, each from one stacked
+    SVD, bit-identical to np.linalg.norm(., 2) one power at a time. A batch
+    ends early at a Frobenius norm <= 1/2, which bounds the spectral one."""
     power = np.eye(A_cl.shape[0])
     powers, norms = [power], [1.0]
-    while len(norms) < count or norms[-1] > 0.5:
+    while True:
         if len(norms) > _POWER_CAP:
             raise NoConvergence("could not bound the closed-loop power norms")
-        power = power @ A_cl
-        if len(powers) < count:
-            powers.append(power)
-        norms.append(float(np.linalg.norm(power, 2)))
-    return powers, norms
+        batch = []
+        for _ in range(count):
+            power = power @ A_cl
+            batch.append(power)
+            if (len(norms) + len(batch) >= count
+                    and math.sqrt(np.vdot(power, power)) <= 0.5):
+                break
+        powers += batch[:count - len(powers)]
+        norms += np.linalg.svd(np.stack(batch), compute_uv=False)[:, 0].tolist()
+        small = np.flatnonzero(np.array(norms[count - 1:]) <= 0.5)
+        if small.size:
+            return powers, norms[:count + int(small[0])]
 
 
 class CompiledGameVi:
@@ -568,8 +584,8 @@ class CompiledGameVi:
     _inner_radius(U) / sup_k ||A_cl^k||_2, and the radius of a ball around
     the origin certified inside the set (_BALL_SLACK), which lets the test
     accept states near the attractor after one norm. One power walk
-    (_closed_loop_powers) gives the powers behind the test and F and the
-    norms behind both radii.
+    (_closed_loop_powers, with the norms from batched SVDs) gives the powers
+    behind the test and F and the norms behind both radii.
     """
 
     def __init__(self, game, riccati, augmented, theta, gamma, M_ol, qmap,
@@ -665,6 +681,13 @@ class CompiledGameVi:
         return u[self._first]
 
 
+def _stagewise(E, X, T):
+    """kron(I_T, E) @ X as one batched product over X's T row blocks; E may
+    also be a (T, rows, n) stack, one block per stage, and may have no rows."""
+    rows, cols = E.shape[-2], X.shape[1]
+    return np.matmul(E, X.reshape(T, E.shape[-1], cols)).reshape(T * rows, cols)
+
+
 def compile_vi(game):
     """Compile a game into its affine VI and its DR splitting and metric.
 
@@ -673,6 +696,8 @@ def compile_vi(game):
     solved eagerly through its block structure: one n-dim solve_are per
     agent plus two Stein doublings over the agent stack (see
     _augmented_riccati); all run at their default tolerances and caps.
+    The products with Qbar_i and with I_T kron Ex, Dx are taken one stage
+    block at a time (_stagewise), so no nT x nT matrix is formed.
     Raises InvalidSplitting (with the monotonicity estimate attached) when
     the symmetric part of the compiled matrix is not positive definite, and
     NoConvergence if either Riccati stage fails.
@@ -682,24 +707,24 @@ def compile_vi(game):
     theta = build_theta(game.A, T)
     gamma = np.hstack([build_gamma(game.A, game.B[i], T) for i in range(N)])
 
-    # row block i of GtQ is Gamma_i' Qbar_i
-    GtQ = np.vstack([
-        gamma[:, game.agent_slice(i)].T
-        @ blkdg([game.Q[i]] * (T - 1) + [riccati.P_ol[i]]) for i in range(N)])
+    # row block i of GtQ is Gamma_i' Qbar_i = (Qbar_i' Gamma_i)', stage-wise
+    GtQ = np.vstack([_stagewise(
+        np.stack([game.Q[i].T] * (T - 1) + [riccati.P_ol[i].T]),
+        gamma[:, game.agent_slice(i)], T).T for i in range(N)])
     M_ol = blkdg([kron(np.eye(T), game.R[i]) for i in range(N)]) + GtQ @ gamma
     qmap = GtQ @ theta
 
     # constraint stack: mixed rows for stages 0..T-1 on top, state rows for
     # stages 1..T below
-    IEx = kron(np.eye(T), game.Ex)
-    IDx = kron(np.eye(T), game.Dx)
     # stage-state predictor col(x[0] .. x[T-1]) = theta_stage x0 + gamma_stage u
     theta_stage = np.vstack([np.eye(n), theta[:n * (T - 1)]])
     gamma_stage = np.vstack([np.zeros((n, gamma.shape[1])), gamma[:n * (T - 1)]])
     mixed = np.hstack([kron(np.eye(T), game.Eu[j]) for j in range(N)])
-    D = np.vstack([mixed + IEx @ gamma_stage, IDx @ gamma])
+    D = np.vstack([mixed + _stagewise(game.Ex, gamma_stage, T),
+                   _stagewise(game.Dx, gamma, T)])
     d0 = np.concatenate([np.tile(game.e, T), np.tile(game.dx, T)])
-    Dmap = np.vstack([IEx @ theta_stage, IDx @ theta])
+    Dmap = np.vstack([_stagewise(game.Ex, theta_stage, T),
+                      _stagewise(game.Dx, theta, T)])
 
     splitting = make_dr_splitting(M_ol)
 

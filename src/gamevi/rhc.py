@@ -130,8 +130,12 @@ def _initial_warm_start(compiled, x0, workspace):
     """Equilibrium feedback rollout, projected onto U_T(x0) if infeasible.
 
     A projection that misses its KKT tolerance is dropped for the rollout
-    itself: the first step's DR solve certifies whatever it starts from."""
-    u = unconstrained_ne_sequence(compiled, x0)
+    itself: the first step's DR solve certifies whatever it starts from. A
+    rollout that overflows raises NonFiniteData naming step 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = unconstrained_ne_sequence(compiled, x0)
+    if not np.isfinite(u).all():
+        raise NonFiniteData("the feedback rollout from x0 overflows at step 0")
     C = compiled.polyhedron_at(x0)
     if C.contains(u, tol=1e-12):
         return u
@@ -145,8 +149,9 @@ def simulate(compiled, x0, steps, cfg=None):
     States propagate through the plant recursion x+ = A x + sum_i B_i u_i[0]
     one agent at a time (not through the condensed predictor), so a recorded
     trace replays bit-identically. Raises DimensionMismatch when x0 is not
-    of the game's state length, and Infeasible annotated with the failing
-    step index.
+    of the game's state length, and Infeasible or NonFiniteData annotated
+    with the failing step index; a step whose successor state overflows
+    raises NonFiniteData, so a trace never holds a NaN or infinite state.
     """
     x = compiled.as_state(x0).copy()
     cfg = cfg or solvers.SolverConfig()
@@ -169,8 +174,13 @@ def simulate(compiled, x0, steps, cfg=None):
         except Infeasible as exc:
             raise Infeasible(f"constraint set empty at step {t}: {exc}",
                              slack=exc.slack) from exc
-        x_next = game.A @ x + sum(
-            game.B[i] @ u0[offs[i]:offs[i + 1]] for i in range(game.N))
+        except NonFiniteData as exc:
+            raise NonFiniteData(f"non-finite data at step {t}: {exc}") from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_next = game.A @ x + sum(
+                game.B[i] @ u0[offs[i]:offs[i + 1]] for i in range(game.N))
+        if not np.isfinite(x_next).all():
+            raise NonFiniteData(f"the state after step {t} is not finite")
         inputs[t] = u0
         states[t + 1] = x_next
         iterations.append(report.iterations)

@@ -9,6 +9,7 @@ explicit python loops, and feasibility from direct inequality evaluation.
 import itertools
 
 import numpy as np
+import scipy.linalg
 
 
 def kkt_enumerate(M, q, D, d, feas_tol=1e-9):
@@ -224,3 +225,58 @@ def terminal_set_rollout(game, K, A_cl, horizon=50, margin=1e-9):
         return bool(r_feas > 0.0 and np.linalg.norm(y) <= r_feas / sup)
 
     return test
+
+
+def dense_vi_assembly(game, P):
+    """The condensed VI data (M, qmap, D, d0, Dmap) of game, with the
+    terminal weights P_i, by the dense block products of their definition:
+    kron(I_T, .) and scipy.linalg.block_diag, each a full matrix product, and
+    the predictors Theta, Gamma_i built from explicit matrix powers.
+
+        M = blkdiag(I_T kron R_i) + [Gamma_i' Qbar_i Gamma_j]_ij,
+        Qbar_i = blkdiag(Q_i, .., Q_i, P_i),  qmap = col_i(Gamma_i' Qbar_i Theta),
+        D = [hstack_j(I_T kron Eu_j) + (I_T kron Ex) Gamma_stage; (I_T kron Dx) Gamma],
+        d0 = [tile(e, T); tile(dx, T)],
+        Dmap = [(I_T kron Ex) Theta_stage; (I_T kron Dx) Theta],
+
+    where Theta_stage, Gamma_stage predict the stage states x[0..T-1]
+    rather than x[1..T].
+    """
+    n, N, T = game.n, game.N, game.T
+    I_T = np.eye(T)
+    power = [np.linalg.matrix_power(game.A, k) for k in range(T + 1)]
+    theta = np.vstack(power[1:])
+    gammas = []
+    for B in game.B:
+        m = B.shape[1]
+        g = np.zeros((n * T, m * T))
+        for r in range(T):
+            for c in range(r + 1):
+                g[r * n:(r + 1) * n, c * m:(c + 1) * m] = power[r - c] @ B
+        gammas.append(g)
+    gamma = np.hstack(gammas)
+    GtQ = np.vstack([gammas[i].T @ scipy.linalg.block_diag(
+        *([game.Q[i]] * (T - 1) + [P[i]])) for i in range(N)])
+    M = scipy.linalg.block_diag(*[np.kron(I_T, R) for R in game.R]) + GtQ @ gamma
+    theta_stage = np.vstack(power[:T])
+    gamma_stage = np.vstack([np.zeros((n, gamma.shape[1])), gamma[:n * (T - 1)]])
+    IEx, IDx = np.kron(I_T, game.Ex), np.kron(I_T, game.Dx)
+    mixed = np.hstack([np.kron(I_T, Eu) for Eu in game.Eu])
+    D = np.vstack([mixed + IEx @ gamma_stage, IDx @ gamma])
+    d0 = np.concatenate([np.tile(game.e, T), np.tile(game.dx, T)])
+    Dmap = np.vstack([IEx @ theta_stage, IDx @ theta])
+    return M, GtQ @ theta, D, d0, Dmap
+
+
+def power_norms(A, count):
+    """The powers A^0 .. A^(count - 1) and the spectral norms ||A^k||_2 from
+    k = 0 on, walked one power at a time with np.linalg.norm(., 2): at least
+    count norms, and on until one is <= 1/2."""
+    power = np.eye(A.shape[0])
+    powers, norms = [power], [1.0]
+    while len(norms) < count or norms[-1] > 0.5:
+        power = power @ A
+        if len(powers) < count:
+            powers.append(power)
+        norms.append(float(np.linalg.norm(power, 2)))
+    return powers, norms

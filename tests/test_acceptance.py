@@ -222,6 +222,50 @@ def test_criterion_7_best_response_necessary_condition(crossroad4):
     print(PASS.format(7, f"5 states x {g.N} agents, worst deviation {worst:.2e}"))
 
 
+def own_block_deviation(c, x0, u, i):
+    """The largest entry by which agent i's exact best response to the
+    profile u moves off agent i's own block of u."""
+    sl = c.game.agent_slice(i)
+    return float(np.max(np.abs(G.best_response(c, x0, i, u, tol=1e-10) - u[sl])))
+
+
+def test_criterion_7_best_response_nonsymmetric_crossroad(crossroad4):
+    """Criterion 7 where the VI matrix is nonsymmetric: Q_i = I + E_i, E_i
+    the identity on vehicle i's own state block, rebuilt from g.source. Each
+    agent's best response lies within 1e-5 of its own block at the solution.
+    A perturbed answer fails the same check: agent i's block moved by ~1e-3
+    (which leaves agent i's constraints as they were) is not its best
+    response."""
+    spec, g, _ = crossroad4
+    from gamevi.scenario import _state_layout, default_initial_state
+    dims, off = _state_layout(spec)
+    Q = []
+    for i in range(g.N):
+        own = np.zeros(g.n)
+        own[off[i]:off[i] + dims[i]] = 1.0
+        Q.append(np.eye(g.n) + np.diag(own))
+    c = G.compile_vi(G.LqGame.from_stage_constraints(**{**g.source, "Q": Q}))
+    assert np.linalg.norm((c.M_ol - c.M_ol.T) / 2.0, 2) > 1.0
+    base = default_initial_state(spec)
+    rng = np.random.default_rng(78)
+    worst = 0.0
+    for k, scale in enumerate((1.0, 0.75, 0.5, 0.25, 0.1)):
+        x0 = scale * base + 0.2 * rng.normal(size=g.n)
+        rep = dr_solve(c.avi_at(x0), SolverConfig(tol=1e-9, max_iter=3000,
+                                                  qp_tol=1e-11))
+        assert rep.converged
+        for i in range(g.N):
+            dev = own_block_deviation(c, x0, rep.solution, i)
+            worst = max(worst, dev)
+            assert dev <= 1e-5
+        i = k % g.N
+        perturbed = rep.solution.copy()
+        perturbed[g.agent_slice(i)] += 1e-3 * rng.normal(size=g.m[i] * g.T)
+        assert own_block_deviation(c, x0, perturbed, i) > 1e-5
+    print(PASS.format(7, f"nonsymmetric crossroad, 5 states x {g.N} agents, "
+                         f"worst deviation {worst:.2e}"))
+
+
 def test_criterion_8_closed_loop_behavior(crossroad4):
     """300-step closed loop: constraint margins stay nonnegative (to working
     precision), the state is driven below 1e-2, and the final 50 steps all

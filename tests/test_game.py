@@ -12,8 +12,9 @@ from gamevi.errors import (DimensionMismatch, InvalidSplitting, NoConvergence,
                            NonFiniteData, SpecError)
 from gamevi.solvers import SolverConfig, dr_solve, make_dr_splitting
 
-from oracles import (feedback_rollout, finite_diff_gradient, simulate_states,
-                     stagewise_feasible, terminal_set_rollout)
+from oracles import (dense_vi_assembly, feedback_rollout, finite_diff_gradient,
+                     power_norms, simulate_states, stagewise_feasible,
+                     terminal_set_rollout)
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -454,6 +455,12 @@ def test_stein_doubling_raises_quickly_when_unstable():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_doubling_names_the_step_of_a_singular_solve():
+    # W = I + G H is exactly zero at the first doubling
+    with pytest.raises(NoConvergence, match="singular at step 1"):
+        G._doubling(np.eye(2), -np.eye(2), np.eye(2))
+
+
 def test_compile_vi_calls_solve_are_once_per_agent(monkeypatch):
     g = unequal_width_game()
     shapes = []
@@ -582,6 +589,107 @@ def test_predict_and_first_stage_match_per_agent_oracle(fixture, request):
         assert np.max(np.abs(got - xs[1:].ravel())) <= 1e-12 * (1 + np.max(np.abs(xs)))
         want = np.concatenate([u[g.agent_slice(i)][:g.m[i]] for i in range(g.N)])
         assert np.array_equal(c.first_stage(u), want)
+
+
+def rows_game(mixed, state, N=2, T=3):
+    """A stable game with pre-stabilized shared input rows (so Ex != 0) when
+    mixed, and state rows when state."""
+    rng = np.random.default_rng(5)
+    n = 3
+    A = rng.normal(size=(n, n))
+    A = 0.9 * A / max(abs(np.linalg.eigvals(A)))
+    B = [rng.normal(size=(n, k + 1)) for k in range(N)]
+    kw = {}
+    if mixed:
+        # shared rows -3 <= sum_i 1'u_i <= 3, made mixed by the pre-stabilizer
+        kw["Du"] = [np.vstack([np.ones((1, b.shape[1])), -np.ones((1, b.shape[1]))])
+                    for b in B]
+        kw["du"] = np.full(2, -3.0)
+        kw["K_pre"] = [-0.1 * rng.normal(size=(b.shape[1], n)) for b in B]
+    if state:
+        kw["Dx"] = np.vstack([np.eye(n), -np.eye(n)])
+        kw["dx"] = np.full(2 * n, -5.0)
+    return G.LqGame.from_stage_constraints(
+        A, B, [np.eye(n) * (1.0 + 0.5 * i) for i in range(N)],
+        [4.0 * np.eye(b.shape[1]) for b in B], T, **kw)
+
+
+ASSEMBLY_CASES = ["crossroad4", "small_game2", "unequal_widths", "no_mixed_rows",
+                  "no_state_rows", "horizon_1", "single_agent"]
+
+
+def assembly_case(case, request):
+    if case in ("crossroad4", "small_game2"):
+        g = request.getfixturevalue(case)[-2]
+    elif case == "unequal_widths":
+        g = unequal_width_game()
+    elif case == "horizon_1":
+        g = with_horizon(request.getfixturevalue("small_game2")[0], 1)
+    else:
+        g = rows_game(mixed=case != "no_mixed_rows", state=case != "no_state_rows",
+                      N=1 if case == "single_agent" else 2)
+    return g, G.compile_vi(g)
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES)
+def test_vi_data_match_dense_assembly(case, request):
+    """compile_vi's stage-by-stage products give the VI data of the dense
+    kron / block-diagonal definition to 1e-13 relative."""
+    g, c = assembly_case(case, request)
+    want = dense_vi_assembly(g, c.riccati.P_ol)
+    got = (c.M_ol, c.qmap, c.D, c.d0, c.Dmap)
+    for name, a, b in zip(("M_ol", "qmap", "D", "d0", "Dmap"), got, want):
+        assert a.shape == b.shape, name
+        err = np.max(np.abs(a - b), initial=0.0)
+        assert err <= 1e-13 * np.max(np.abs(b), initial=0.0), name
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES)
+def test_closed_loop_powers_match_per_power_walk(case, request):
+    """The batched power norms are bit-identical to a walk that takes them
+    one np.linalg.norm(., 2) at a time, and so are the powers."""
+    g, c = assembly_case(case, request)
+    for count in (1, max(G._TERMINAL_HORIZON + 1, g.T)):
+        powers, norms = G._closed_loop_powers(c.riccati.A_cl, count)
+        want_powers, want_norms = power_norms(c.riccati.A_cl, count)
+        assert norms == want_norms
+        assert len(powers) == len(want_powers)
+        assert all(np.array_equal(a, b) for a, b in zip(powers, want_powers))
+
+
+@pytest.mark.parametrize("A", [np.zeros((3, 3)), np.array([[0.0, 1.0], [0.0, 0.0]]),
+                               np.array([[0.99, 1.0], [0.0, 0.99]])])
+@pytest.mark.parametrize("count", [1, 3, 51])
+def test_closed_loop_powers_match_per_power_walk_on_edge_matrices(A, count):
+    """Zero, nilpotent and late-transient loops."""
+    powers, norms = G._closed_loop_powers(A, count)
+    want_powers, want_norms = power_norms(A, count)
+    assert norms == want_norms
+    assert all(np.array_equal(a, b) for a, b in zip(powers, want_powers))
+
+
+def test_compile_vi_builds_no_state_block_diagonal(crossroad4, monkeypatch):
+    """The stage-wise assembly never calls kron on the state matrices Ex and
+    Dx, and builds no nT x nT block-diagonal Qbar_i."""
+    _, g, _ = crossroad4
+    krons, blocks = [], []
+    kron, blkdg = G.kron, G.blkdg
+
+    def recording_kron(a, b):
+        krons.append(np.shape(b))
+        return kron(a, b)
+
+    def recording_blkdg(parts):
+        out = blkdg(parts)
+        blocks.append(out.shape)
+        return out
+
+    monkeypatch.setattr(G, "kron", recording_kron)
+    monkeypatch.setattr(G, "blkdg", recording_blkdg)
+    G.compile_vi(g)
+    assert g.Ex.any() and g.Dx.any()
+    assert krons and all(shape[1] != g.n for shape in krons)
+    assert blocks and (g.n * g.T, g.n * g.T) not in blocks
 
 
 def test_gradient_identity_on_feasible_points(small_game2):

@@ -532,6 +532,36 @@ def test_simulate_infeasible_reports_step_index():
     assert "step" in str(err.value)
 
 
+def test_simulate_overflowing_rollout_names_step_zero():
+    """The feedback rollout from a huge start overflows: simulate names step
+    0 and the rollout, not a warm start the caller never passed."""
+    g = G.LqGame.from_stage_constraints([[1.5]], [[[1e-150]]], [[[1.0]]],
+                                        [[[1e-300]]], 3)
+    c = G.compile_vi(g)
+    with pytest.raises(NonFiniteData, match="step 0") as err:
+        rhc.simulate(c, [1e200], 4)
+    assert "warm start" not in str(err.value)
+
+
+def test_simulate_non_finite_state_names_its_step(small_game2, monkeypatch):
+    """A step whose input has overflowed raises NonFiniteData
+    naming that step, so no trace holds a non-finite state."""
+    g, c = small_game2
+    step = rhc.rhc_step
+    steps = []
+
+    def overflowing(compiled, x, *args):
+        u0, report = step(compiled, x, *args)
+        steps.append(len(steps))
+        return (np.full_like(u0, np.inf) if len(steps) == 3 else u0), report
+
+    monkeypatch.setattr(rhc, "rhc_step", overflowing)
+    x0 = 0.5 * np.random.default_rng(13).normal(size=g.n)
+    with pytest.raises(NonFiniteData, match="after step 2"):
+        rhc.simulate(c, x0, 9, cfg())
+    assert steps == [0, 1, 2]
+
+
 def test_trace_json_round_trip(tmp_path, small_game2):
     g, c = small_game2
     rng = np.random.default_rng(8)
